@@ -13,7 +13,7 @@
 //! * the exact cardinality and a canonical (ascending, capped) sample of
 //!   the maximum-fitness set.
 //!
-//! Three layers:
+//! Four layers:
 //!
 //! * [`kernel`] — the block kernel: 64 consecutive genomes share every
 //!   bit above the 6-bit lane field, so a block's transposed form is six
@@ -22,14 +22,15 @@
 //!   [`leonardo_rtl::bitslice::FitnessUnitX64`]'s carry-save score planes
 //!   and decoded into per-fitness-level lane masks — ~10 word ops per
 //!   genome, no transpose, no per-genome work at all;
+//! * [`fold`] — the one block-range fold ([`Partial`] over any
+//!   [`LevelKernel`]) behind every sweep, checkpoint and oracle answer;
 //! * [`shard`] — deterministic disjoint contiguous shards over the block
 //!   space (the unit of parallelism, checkpointing and resume);
 //! * [`sweep`] — the multi-threaded driver: workers claim shards from a
-//!   queue, accumulate per-shard histograms and max-set samples, and a
-//!   [`checkpoint`] file (versioned, checksummed, atomically replaced)
-//!   records mid-shard cursors so a killed sweep restarts where it left
-//!   off. Merged results are bit-identical for **any** shard count and
-//!   thread count.
+//!   queue, fold them into per-shard partials, and a [`checkpoint`] file
+//!   (versioned, checksummed, atomically replaced) records mid-shard
+//!   cursors so a killed sweep restarts where it left off. Merged results
+//!   are bit-identical for **any** shard count and thread count.
 //!
 //! The differential conformance suite in `tests/` pins the sweep kernel
 //! lane-by-lane to the scalar `discipulus` fitness function, the RTL
@@ -41,11 +42,13 @@
 #![warn(missing_docs)]
 
 pub mod checkpoint;
+pub mod fold;
 pub mod kernel;
 pub mod shard;
 pub mod sweep;
 
 pub use checkpoint::{Checkpoint, CheckpointError};
+pub use fold::{LevelKernel, Partial};
 pub use kernel::{score_masks, score_masks_w, BlockKernel, BlockKernelW};
 pub use shard::{Shard, ShardPlan};
 pub use sweep::{LandscapeResult, StopToken, Sweep, SweepConfig, SweepStatus};

@@ -1,13 +1,15 @@
-//! The sharded, multi-threaded, checkpointable sweep driver.
+//! The sharded, multi-threaded, checkpointable sweep driver — the only
+//! shard driver in the workspace.
 //!
-//! Workers claim shards off a shared queue and walk them block by block
-//! through a private [`BlockKernel`], folding 64-lane score masks into a
-//! per-shard histogram and max-set sample list at **chunk** granularity
-//! (a few thousand blocks). Because every shard accumulates
-//! independently and the merge is a commutative fold over shards in
-//! index order, the final landscape is bit-identical for every shard
-//! count and thread count — parallelism can reorder the work but not the
-//! result (property-tested in `tests/`).
+//! Workers claim shards off a shared queue and walk them through a
+//! private [`LevelKernel`] (the gait [`BlockKernel`] by default, any
+//! registry problem's kernel through [`Sweep::with_kernel`]), folding
+//! per-level lane masks into a per-shard [`Partial`] at **chunk**
+//! granularity (a few thousand blocks). Because every shard accumulates
+//! independently and the merge is an ordered fold over shards in index
+//! order, the final landscape is bit-identical for every shard count and
+//! thread count — parallelism can reorder the work but not the result
+//! (property-tested in `tests/`).
 //!
 //! Chunks are also the checkpoint and cancellation boundary: a
 //! [`StopToken`] interrupts the sweep between chunks, and the driver
@@ -16,7 +18,8 @@
 //! where a killed run stopped.
 
 use crate::checkpoint::{Checkpoint, CheckpointError, ShardCheckpoint};
-use crate::kernel::{score_masks, BlockKernel, BLOCK_GENOMES};
+use crate::fold::{LevelKernel, Partial};
+use crate::kernel::{BlockKernel, BLOCK_GENOMES};
 use crate::shard::{ShardPlan, FULL_SUBSPACE_BITS};
 use discipulus::fitness::{FitnessSpec, FitnessValue};
 use discipulus::stats::FitnessHistogram;
@@ -168,9 +171,7 @@ struct ShardState {
     start_block: u64,
     end_block: u64,
     cursor: u64,
-    hist: Vec<u64>,
-    max_count: u64,
-    samples: Vec<u64>,
+    partial: Partial,
 }
 
 /// The merged outcome of a sweep (possibly partial, see
@@ -212,16 +213,19 @@ impl LandscapeResult {
     }
 }
 
-/// A sweep in progress: the shard plan plus every shard's accumulated
-/// partial state.
-pub struct Sweep {
+/// A sweep in progress: the kernel every worker runs and every shard's
+/// accumulated partial state.
+pub struct Sweep<K = BlockKernel> {
     config: SweepConfig,
-    plan: ShardPlan,
+    make_kernel: Box<dyn Fn() -> K + Send + Sync>,
+    /// The empty partial every shard and chunk starts from.
+    empty: Partial,
     states: Vec<Mutex<ShardState>>,
 }
 
 impl Sweep {
-    /// A fresh sweep (no checkpoint consulted).
+    /// A fresh gait-landscape sweep (no checkpoint consulted): the
+    /// [`BlockKernel`] under `config.spec`, sampling the max set.
     ///
     /// # Panics
     /// Panics if the configuration is out of range (see
@@ -232,27 +236,9 @@ impl Sweep {
             config.spec.max_fitness() < 1 << leonardo_rtl::bitslice::SCORE_PLANES,
             "spec's maximum fitness exceeds the sliced score-plane width"
         );
-        let plan = ShardPlan::new(config.subspace_bits, config.num_shards);
-        let levels = config.spec.max_fitness() as usize + 1;
-        let states = plan
-            .shards()
-            .iter()
-            .map(|s| {
-                Mutex::new(ShardState {
-                    start_block: s.start_block,
-                    end_block: s.end_block,
-                    cursor: s.start_block,
-                    hist: vec![0; levels],
-                    max_count: 0,
-                    samples: Vec::new(),
-                })
-            })
-            .collect();
-        Sweep {
-            config,
-            plan,
-            states,
-        }
+        let spec = config.spec;
+        let max = spec.max_fitness() as usize;
+        Sweep::with_kernel(config, max + 1, max, move || BlockKernel::new(spec))
     }
 
     /// Resume a sweep from the checkpoint file named in
@@ -297,24 +283,83 @@ impl Sweep {
                     saved.index, saved.cursor, st.start_block, st.end_block
                 ));
             }
-            if saved.hist.len() != levels {
+            if saved.hist.len() != levels || saved.max_count != saved.hist[levels - 1] {
                 return mismatch(format!(
-                    "shard {} histogram has {} levels, spec needs {levels}",
-                    saved.index,
-                    saved.hist.len()
+                    "shard {} histogram does not hold the spec's {levels} levels and max count",
+                    saved.index
                 ));
             }
             st.cursor = saved.cursor;
-            st.hist.copy_from_slice(&saved.hist);
-            st.max_count = saved.max_count;
-            st.samples = saved.samples.clone();
+            st.partial.hist.copy_from_slice(&saved.hist);
+            st.partial.samples = saved.samples.clone();
         }
         Ok(sweep)
     }
 
-    /// The shard plan in force.
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
+    /// Merge every shard's partial state into one landscape (exact and
+    /// bit-identical regardless of how the work was scheduled).
+    pub fn result(&self) -> LandscapeResult {
+        let spec = self.config.spec;
+        let merged = self.merged();
+        let mut histogram = FitnessHistogram::new(spec.max_fitness());
+        for (v, &c) in merged.hist.iter().enumerate() {
+            histogram.record_n(v as FitnessValue, c);
+        }
+        let (mut blocks_swept, mut complete) = (0, true);
+        for state in &self.states {
+            let st = state.lock();
+            blocks_swept += st.cursor - st.start_block;
+            complete &= st.cursor == st.end_block;
+        }
+        LandscapeResult {
+            subspace_bits: self.config.subspace_bits,
+            shards: self.states.len(),
+            spec,
+            histogram,
+            genomes_swept: blocks_swept * BLOCK_GENOMES,
+            max_fitness: spec.max_fitness(),
+            max_count: merged.top_count(),
+            max_samples: merged.samples,
+            complete,
+        }
+    }
+}
+
+impl<K: LevelKernel> Sweep<K> {
+    /// A fresh sweep whose workers each run `make_kernel()`, counting
+    /// `levels` fitness levels and sampling up to `config.sample_cap`
+    /// genomes at the highest level reached at or above `floor` (see
+    /// [`Partial`]). `config.spec` only names the checkpoint's weights.
+    ///
+    /// # Panics
+    /// Panics if the shard configuration is out of range (see
+    /// [`ShardPlan::new`]).
+    pub fn with_kernel(
+        config: SweepConfig,
+        levels: usize,
+        floor: usize,
+        make_kernel: impl Fn() -> K + Send + Sync + 'static,
+    ) -> Sweep<K> {
+        let plan = ShardPlan::new(config.subspace_bits, config.num_shards);
+        let empty = Partial::new(levels, floor, config.sample_cap);
+        let states = plan
+            .shards()
+            .iter()
+            .map(|s| {
+                Mutex::new(ShardState {
+                    start_block: s.start_block,
+                    end_block: s.end_block,
+                    cursor: s.start_block,
+                    partial: empty.clone(),
+                })
+            })
+            .collect();
+        Sweep {
+            config,
+            make_kernel: Box::new(make_kernel),
+            empty,
+            states,
+        }
     }
 
     /// Snapshot the current state as a [`Checkpoint`].
@@ -332,9 +377,9 @@ impl Sweep {
                     ShardCheckpoint {
                         index,
                         cursor: st.cursor,
-                        max_count: st.max_count,
-                        hist: st.hist.clone(),
-                        samples: st.samples.clone(),
+                        max_count: st.partial.hist.last().copied().unwrap_or(0),
+                        hist: st.partial.hist.clone(),
+                        samples: st.partial.samples.clone(),
                     }
                 })
                 .collect(),
@@ -365,6 +410,17 @@ impl Sweep {
         status
     }
 
+    /// Every shard's partial folded in shard order: the partial of all
+    /// genomes swept so far.
+    pub fn merged(&self) -> Partial {
+        let mut merged = self.empty.clone();
+        for state in &self.states {
+            merged.merge(&state.lock().partial);
+        }
+        debug_assert!(merged.samples.windows(2).all(|w| w[0] < w[1]));
+        merged
+    }
+
     fn worker(
         &self,
         next_shard: &AtomicUsize,
@@ -372,8 +428,7 @@ impl Sweep {
         since_checkpoint: &AtomicU64,
         checkpoint_lock: &Mutex<()>,
     ) {
-        let mut kernel = BlockKernel::new(self.config.spec);
-        let levels = self.config.spec.max_fitness() as usize;
+        let mut kernel = (self.make_kernel)();
         loop {
             if stop.stopped() {
                 return;
@@ -386,44 +441,19 @@ impl Sweep {
                 let st = state.lock();
                 (st.cursor, st.end_block)
             };
-            let mut chunk_hist = vec![0u64; levels + 1];
-            let mut chunk_samples: Vec<u64> = Vec::new();
             while cursor < end {
                 if stop.stopped() {
                     return;
                 }
                 let chunk_end = (cursor + self.config.chunk_blocks).min(end);
-                for slot in chunk_hist.iter_mut() {
-                    *slot = 0;
-                }
-                chunk_samples.clear();
-                let mut chunk_max = 0u64;
-                for block in cursor..chunk_end {
-                    let planes = kernel.score_block(block);
-                    let masks = score_masks(&planes);
-                    for (v, slot) in chunk_hist.iter_mut().enumerate() {
-                        *slot += u64::from(masks[v].count_ones());
-                    }
-                    let mut top = masks[levels];
-                    if top != 0 {
-                        chunk_max += u64::from(top.count_ones());
-                        while top != 0 {
-                            let lane = top.trailing_zeros() as u64;
-                            chunk_samples.push(block * BLOCK_GENOMES + lane);
-                            top &= top - 1;
-                        }
-                    }
-                }
+                // fold the chunk into a partial this thread allocates: the
+                // shard partials sit side by side in memory, and scanning
+                // into them from two threads shares their cache lines
+                let mut chunk = self.empty.clone();
+                chunk.scan(&mut kernel, cursor, chunk_end);
                 {
                     let mut st = state.lock();
-                    for (slot, &c) in st.hist.iter_mut().zip(&chunk_hist) {
-                        *slot += c;
-                    }
-                    st.max_count += chunk_max;
-                    // blocks ascend within a shard, so samples stay
-                    // sorted; the cap keeps the canonical low prefix
-                    let room = self.config.sample_cap.saturating_sub(st.samples.len());
-                    st.samples.extend(chunk_samples.iter().take(room).copied());
+                    st.partial.merge(&chunk);
                     st.cursor = chunk_end;
                 }
                 let chunk_len = chunk_end - cursor;
@@ -439,7 +469,7 @@ impl Sweep {
                     &[
                         ("shard", idx.into()),
                         ("blocks", (st.end_block - st.start_block).into()),
-                        ("max_count", st.max_count.into()),
+                        ("max_count", st.partial.top_count().into()),
                     ],
                 );
             }
@@ -481,42 +511,6 @@ impl Sweep {
                 "landscape.checkpoint",
                 &[("shards", self.states.len().into())],
             );
-        }
-    }
-
-    /// Merge every shard's partial state into one landscape (exact and
-    /// bit-identical regardless of how the work was scheduled).
-    pub fn result(&self) -> LandscapeResult {
-        let spec = self.config.spec;
-        let mut histogram = FitnessHistogram::new(spec.max_fitness());
-        let mut genomes_swept = 0u64;
-        let mut max_count = 0u64;
-        let mut max_samples = Vec::new();
-        let mut complete = true;
-        for state in &self.states {
-            let st = state.lock();
-            for (v, &c) in st.hist.iter().enumerate() {
-                histogram.record_n(v as FitnessValue, c);
-            }
-            genomes_swept += (st.cursor - st.start_block) * BLOCK_GENOMES;
-            max_count += st.max_count;
-            if max_samples.len() < self.config.sample_cap {
-                let room = self.config.sample_cap - max_samples.len();
-                max_samples.extend(st.samples.iter().take(room).copied());
-            }
-            complete &= st.cursor == st.end_block;
-        }
-        debug_assert!(max_samples.windows(2).all(|w| w[0] < w[1]));
-        LandscapeResult {
-            subspace_bits: self.config.subspace_bits,
-            shards: self.plan.len(),
-            spec,
-            histogram,
-            genomes_swept,
-            max_fitness: spec.max_fitness(),
-            max_count,
-            max_samples,
-            complete,
         }
     }
 }

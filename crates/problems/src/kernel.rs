@@ -9,13 +9,16 @@
 //! analysis gate's registry probes both pin that equality lane-by-lane.
 //!
 //! [`GaitKernel`] reuses the rtl crate's sliced fitness network
-//! unchanged. [`MealyKernel`] is new machinery: the trace replay runs
+//! unchanged, and sweeps through the landscape crate's incremental
+//! [`BlockKernelW`]. [`MealyKernel`] is new machinery: the trace replay runs
 //! with the machine *state* held in bit-sliced planes, the per-state
 //! transition selects as mask algebra, and matched output bits
 //! accumulated in a carry-save counter — `P::LANES` candidate machines
 //! replay the whole suite simultaneously.
 
 use crate::mealy::MealyProblem;
+use discipulus::fitness::FitnessSpec;
+use leonardo_landscape::{BlockKernelW, LevelKernel};
 use leonardo_rtl::bitslice::transpose::transposed_planes;
 use leonardo_rtl::bitslice::{FitnessUnitXW, Plane};
 
@@ -30,19 +33,41 @@ pub trait ProblemKernel<P: Plane>: Send {
     /// # Panics
     /// Panics if `genomes.len() != P::LANES`.
     fn score_batch(&mut self, genomes: &[u64]) -> Vec<u32>;
+
+    /// The sweep step ([`LevelKernel::level_masks`]): per-level lane
+    /// masks of the aligned batch `P::LANES·block ..`. By default the
+    /// batch is scored through [`ProblemKernel::score_batch`].
+    fn level_masks(&mut self, block: u64, masks: &mut [P]) {
+        let base = block * P::LANES as u64;
+        let genomes: Vec<u64> = (base..base + P::LANES as u64).collect();
+        masks.fill(P::ZERO);
+        for (l, f) in self.score_batch(&genomes).into_iter().enumerate() {
+            masks[f as usize].set_bit(l, true);
+        }
+    }
+}
+
+/// A registry kernel is a sweep kernel, so `leonardo_landscape::Sweep`
+/// drives every problem.
+impl<P: Plane> LevelKernel for Box<dyn ProblemKernel<P>> {
+    type Plane = P;
+
+    fn level_masks(&mut self, block: u64, masks: &mut [P]) {
+        (**self).level_masks(block, masks);
+    }
 }
 
 /// The gait problem's kernel: the rtl bit-sliced fitness network.
 #[derive(Debug, Clone)]
 pub struct GaitKernel<P: Plane> {
-    unit: FitnessUnitXW<P>,
+    sweep: BlockKernelW<P>,
 }
 
 impl<P: Plane> GaitKernel<P> {
     /// The paper's rule network.
     pub fn paper() -> GaitKernel<P> {
         GaitKernel {
-            unit: FitnessUnitXW::paper(),
+            sweep: BlockKernelW::new(FitnessSpec::paper()),
         }
     }
 }
@@ -54,7 +79,11 @@ impl<P: Plane> ProblemKernel<P> for GaitKernel<P> {
 
     fn score_batch(&mut self, genomes: &[u64]) -> Vec<u32> {
         assert_eq!(genomes.len(), P::LANES, "one genome per lane");
-        self.unit.evaluate_lanes(genomes)
+        FitnessUnitXW::<P>::new(self.sweep.spec()).evaluate_lanes(genomes)
+    }
+
+    fn level_masks(&mut self, block: u64, masks: &mut [P]) {
+        self.sweep.level_masks(block, masks);
     }
 }
 

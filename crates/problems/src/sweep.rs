@@ -1,17 +1,11 @@
 //! Generic subspace landscape sweeps: exhaustively score the low
-//! `2^subspace_bits` genomes of any registered problem through its batch
-//! kernel, sharded and threaded like the full gait landscape sweep.
-//!
-//! The shard plan is the landscape crate's [`ShardPlan`] — a balanced
-//! contiguous partition of 64-genome blocks that depends only on
-//! `(subspace_bits, shard count)`. Within a shard the kernel scores
-//! `P::LANES` lane-major genomes per step; shard results (histogram +
-//! arg-max) merge in shard-index order, so the summary is bit-identical
-//! at every plane width, shard count and thread count — property the
-//! crate tests and the e17 experiment both pin.
+//! `2^subspace_bits` genomes of any registered problem by running the
+//! landscape crate's one [`Sweep`] driver with the problem's kernel. The
+//! summary is bit-identical at every plane width, shard count and thread
+//! count (pinned by the crate tests and `tests/landscape_partition.rs`).
 
 use crate::registry::{KernelPlane, ProblemSpec};
-use leonardo_landscape::shard::{Shard, ShardPlan};
+use leonardo_landscape::{StopToken, Sweep, SweepConfig};
 
 /// The merged result of one subspace sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,15 +34,9 @@ impl SweepSummary {
     }
 }
 
-/// Per-shard partial result, merged in shard-index order.
-struct ShardResult {
-    histogram: Vec<u64>,
-    best: Option<(u32, u64)>,
-}
-
 /// Exhaustively score genomes `0..2^subspace_bits` of `spec` through its
-/// width-`P` kernel over `num_shards` shards on `threads` work-stealing
-/// workers (0 = one per core).
+/// width-`P` kernel over `num_shards` shards on `threads` workers
+/// (0 = one per core).
 ///
 /// # Panics
 /// Panics if `subspace_bits` exceeds the problem width or the shard
@@ -65,66 +53,24 @@ pub fn subspace_sweep<P: KernelPlane>(
         spec.width,
         spec.name
     );
-    let plan = ShardPlan::new(subspace_bits, num_shards);
-    let end = plan.total_genomes();
-    let threads = if threads == 0 {
-        leonardo_exec::available_threads()
-    } else {
-        threads
+    let config = SweepConfig {
+        num_shards,
+        threads,
+        sample_cap: 1,
+        ..SweepConfig::subspace(subspace_bits)
     };
-    let partials =
-        leonardo_exec::ordered_map_range(threads.min(plan.len().max(1)), plan.len(), |i| {
-            sweep_shard::<P>(spec, &plan.shards()[i], end)
-        });
-    let mut histogram = vec![0u64; spec.max_fitness as usize + 1];
-    let mut best: Option<(u32, u64)> = None;
-    for p in partials {
-        for (h, n) in histogram.iter_mut().zip(&p.histogram) {
-            *h += n;
-        }
-        // shards cover ascending ranges, so on fitness ties the earlier
-        // (lower-genome) holder is kept
-        if let Some((f, g)) = p.best {
-            if best.is_none_or(|(bf, _)| f > bf) {
-                best = Some((f, g));
-            }
-        }
-    }
-    let (best_fitness, best_genome) = best.expect("a sweep covers at least one block");
+    let levels = spec.max_fitness as usize + 1;
+    let mut sweep = Sweep::with_kernel(config, levels, 0, move || spec.kernel::<P>());
+    sweep.run(&StopToken::never());
+    let merged = sweep.merged();
+    let best_fitness = merged.top().expect("a sweep covers at least one block") as u32;
     SweepSummary {
         problem: spec.name,
         subspace_bits,
-        histogram,
+        best_genome: merged.samples[0],
+        histogram: merged.hist,
         best_fitness,
-        best_genome,
     }
-}
-
-/// Scan one shard's genome range through a fresh kernel.
-fn sweep_shard<P: KernelPlane>(spec: &ProblemSpec, shard: &Shard, end: u64) -> ShardResult {
-    let mut kernel = spec.kernel::<P>();
-    let mut histogram = vec![0u64; spec.max_fitness as usize + 1];
-    let mut best: Option<(u32, u64)> = None;
-    let (start, stop) = (shard.start_block * 64, shard.end_block * 64);
-    let mut first = start;
-    let mut batch = vec![0u64; P::LANES];
-    while first < stop {
-        for (l, g) in batch.iter_mut().enumerate() {
-            *g = first + l as u64;
-        }
-        let scores = kernel.score_batch(&batch);
-        // the tail chunk of the last shard may poke past the subspace;
-        // count only the lanes inside both the shard and the subspace
-        let valid = (stop.min(end) - first).min(P::LANES as u64) as usize;
-        for (l, &f) in scores.iter().take(valid).enumerate() {
-            histogram[f as usize] += 1;
-            if best.is_none_or(|(bf, _)| f > bf) {
-                best = Some((f, first + l as u64));
-            }
-        }
-        first += P::LANES as u64;
-    }
-    ShardResult { histogram, best }
 }
 
 #[cfg(test)]

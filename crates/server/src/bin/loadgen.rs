@@ -9,9 +9,11 @@
 //!
 //! `--clients` accepts a comma list (`--clients 1,4,16`): each entry is
 //! one measurement pass of `--requests` requests spread over that many
-//! concurrent keep-alive connections. Per-request latency is recorded
-//! and summarised (p50/p99/mean via `evo`'s one-sort percentile helper,
-//! plus completed requests per second); the JSON report goes to stdout
+//! concurrent keep-alive connections. The latency of every successful
+//! request is recorded and summarised (p50/p99/mean via `evo`'s one-sort
+//! percentile helper, plus successful responses per second); failed
+//! requests are counted as errors and enter neither figure, so a pass
+//! with no successes reports zeros. The JSON report goes to stdout
 //! or `--out`, and `--manifest` additionally writes a schema-v5
 //! `RunManifest` with one `server` row per pass. Exit status is 1 if
 //! any request failed (non-2xx or transport error) — the CI smoke step
@@ -114,14 +116,14 @@ fn roundtrip(
 }
 
 /// One measurement pass: `requests` requests over `clients` keep-alive
-/// connections. Returns (latencies in micros, ok count, error count,
-/// wall seconds).
+/// connections. Returns each request's (latency in micros, success) and
+/// the wall seconds.
 fn run_pass(
     addr: &str,
     requests: usize,
     clients: usize,
     templates: &[Template],
-) -> (Vec<f64>, u64, u64, f64) {
+) -> (Vec<(f64, bool)>, f64) {
     let started = Instant::now();
     let results: Vec<Vec<(f64, bool)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
@@ -160,18 +162,30 @@ fn run_pass(
             .map(|h| h.join().expect("client thread"))
             .collect()
     });
-    let wall = started.elapsed().as_secs_f64();
-    let mut latencies = Vec::with_capacity(requests);
-    let (mut ok, mut errors) = (0u64, 0u64);
-    for (micros, success) in results.into_iter().flatten() {
-        latencies.push(micros);
-        if success {
-            ok += 1;
-        } else {
-            errors += 1;
-        }
+    (
+        results.into_iter().flatten().collect(),
+        started.elapsed().as_secs_f64(),
+    )
+}
+
+/// Summarise one pass: latency percentiles, mean and throughput over the
+/// successful requests only.
+fn pass_row(clients: usize, results: &[(f64, bool)], wall: f64) -> ServerRow {
+    let latencies: Vec<f64> = results.iter().filter(|r| r.1).map(|r| r.0).collect();
+    let ok = latencies.len() as u64;
+    let errors = results.len() as u64 - ok;
+    let pcts = Summary::percentiles(&latencies, &[50.0, 99.0]).unwrap_or(vec![0.0, 0.0]);
+    ServerRow {
+        route: "ALL".to_string(),
+        clients: clients as u64,
+        requests: ok + errors,
+        ok,
+        errors,
+        p50_micros: pcts[0],
+        p99_micros: pcts[1],
+        mean_micros: Summary::of(&latencies).map_or(0.0, |s| s.mean),
+        rps: if wall > 0.0 { ok as f64 / wall } else { 0.0 },
     }
-    (latencies, ok, errors, wall)
 }
 
 fn main() {
@@ -203,37 +217,15 @@ fn main() {
     let mut rows: Vec<ServerRow> = Vec::new();
     let mut total_errors = 0u64;
     for &clients in &concurrencies {
-        let (latencies, ok, errors, wall) = run_pass(&addr, requests, clients, &templates);
-        total_errors += errors;
-        let pcts = Summary::percentiles(&latencies, &[50.0, 99.0]).unwrap_or(vec![0.0, 0.0]);
-        let mean = if latencies.is_empty() {
-            0.0
-        } else {
-            latencies.iter().sum::<f64>() / latencies.len() as f64
-        };
-        rows.push(ServerRow {
-            route: "ALL".to_string(),
-            clients: clients as u64,
-            requests: (ok + errors),
-            ok,
-            errors,
-            p50_micros: pcts[0],
-            p99_micros: pcts[1],
-            mean_micros: mean,
-            rps: if wall > 0.0 {
-                (ok + errors) as f64 / wall
-            } else {
-                0.0
-            },
-        });
+        let (results, wall) = run_pass(&addr, requests, clients, &templates);
+        let row = pass_row(clients, &results, wall);
+        total_errors += row.errors;
         eprintln!(
-            "loadgen: clients={clients} requests={} ok={ok} errors={errors} \
+            "loadgen: clients={clients} requests={} ok={} errors={} \
              p50={:.0}us p99={:.0}us rps={:.0}",
-            ok + errors,
-            pcts[0],
-            pcts[1],
-            rows.last().expect("just pushed").rps
+            row.requests, row.ok, row.errors, row.p50_micros, row.p99_micros, row.rps
         );
+        rows.push(row);
     }
 
     let report = Json::Obj(vec![
@@ -243,23 +235,7 @@ fn main() {
         ("requests_per_pass".to_string(), Json::Num(requests as f64)),
         (
             "passes".to_string(),
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::Obj(vec![
-                            ("route".to_string(), Json::Str(r.route.clone())),
-                            ("clients".to_string(), Json::Num(r.clients as f64)),
-                            ("requests".to_string(), Json::Num(r.requests as f64)),
-                            ("ok".to_string(), Json::Num(r.ok as f64)),
-                            ("errors".to_string(), Json::Num(r.errors as f64)),
-                            ("p50_micros".to_string(), Json::Num(r.p50_micros)),
-                            ("p99_micros".to_string(), Json::Num(r.p99_micros)),
-                            ("mean_micros".to_string(), Json::Num(r.mean_micros)),
-                            ("rps".to_string(), Json::Num(r.rps)),
-                        ])
-                    })
-                    .collect(),
-            ),
+            Json::Arr(rows.iter().map(ServerRow::to_json).collect()),
         ),
     ])
     .to_string();
@@ -286,5 +262,20 @@ fn main() {
     if total_errors > 0 {
         eprintln!("loadgen: {total_errors} request(s) failed");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn failed_requests_enter_neither_latency_nor_throughput() {
+        let results = [(100.0, true), (0.0, false), (300.0, true), (9e9, false)];
+        let row = pass_row(2, &results, 2.0);
+        assert_eq!((row.requests, row.ok, row.errors), (4, 2, 2));
+        assert_eq!((row.p50_micros, row.p99_micros), (100.0, 300.0));
+        assert_eq!(row.mean_micros, 200.0);
+        assert_eq!(row.rps, 1.0);
     }
 }

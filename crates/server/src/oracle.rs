@@ -4,18 +4,19 @@
 //! The PR 5 sweep engine proved the full 2³⁶ landscape computable in
 //! minutes; a server cannot spend minutes per request, so this module
 //! slices the space into fixed **chunks** of 2²² consecutive genomes
-//! (2¹⁶ blocks of 64) and memoises each chunk's summary — full fitness
-//! histogram, exact max-set count, and the canonical ascending prefix of
-//! max-set samples — in an LRU map. A `bits=K` query for `K ≥ 22` folds
-//! the `2^(K-22)` chunk summaries in ascending chunk order, so the merge
-//! is bit-identical no matter which chunks were cached; smaller
-//! subspaces are cheap enough to score directly. Answers are exact —
-//! the cache changes latency, never bytes (a golden test pins this).
+//! (2¹⁶ blocks of 64) and memoises each chunk's summary — a landscape
+//! [`Partial`]: full fitness histogram and the canonical ascending prefix
+//! of max-set samples — in an LRU map. A `bits=K` query for `K ≥ 22`
+//! merges the `2^(K-22)` chunk summaries in ascending chunk order with
+//! the sweep driver's own [`Partial::merge`], so the answer is
+//! bit-identical no matter which chunks were cached; smaller subspaces
+//! are cheap enough to scan directly. Answers are exact — the cache
+//! changes latency, never bytes (a golden test pins this).
 
 use discipulus::fitness::FitnessSpec;
-use leonardo_landscape::kernel::{score_masks, BlockKernel, BLOCK_GENOMES};
+use leonardo_landscape::kernel::{BlockKernel, BLOCK_GENOMES};
+use leonardo_landscape::Partial;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -29,18 +30,6 @@ pub const CHUNK_BLOCKS: u64 = 1 << (CHUNK_GENOME_BITS - 6);
 pub const CHUNK_SAMPLE_CAP: usize = 256;
 /// Max-set samples included in a response.
 pub const RESPONSE_SAMPLE_CAP: usize = 32;
-
-/// The memoised summary of one 2²²-genome chunk.
-#[derive(Debug, Clone)]
-pub struct ChunkSummary {
-    /// Genomes at each fitness level, exact.
-    pub hist: Vec<u64>,
-    /// Exact count of maximal-fitness genomes in the chunk.
-    pub max_count: u64,
-    /// The smallest `max_count.min(CHUNK_SAMPLE_CAP)` maximal genomes,
-    /// ascending.
-    pub samples: Vec<u64>,
-}
 
 /// One answered subspace query.
 #[derive(Debug, Clone)]
@@ -64,15 +53,10 @@ pub struct SubspaceAnswer {
 pub struct LandscapeOracle {
     spec: FitnessSpec,
     capacity: usize,
-    cache: Mutex<LruCache>,
+    /// Cached `(chunk, summary)` pairs, least recently used first.
+    cache: Mutex<Vec<(u64, Arc<Partial>)>>,
     hits: AtomicU64,
     misses: AtomicU64,
-}
-
-#[derive(Default)]
-struct LruCache {
-    map: HashMap<u64, (u64, Arc<ChunkSummary>)>,
-    clock: u64,
 }
 
 impl LandscapeOracle {
@@ -81,7 +65,7 @@ impl LandscapeOracle {
         LandscapeOracle {
             spec,
             capacity: capacity.max(1),
-            cache: Mutex::new(LruCache::default()),
+            cache: Mutex::new(Vec::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -99,7 +83,7 @@ impl LandscapeOracle {
 
     /// Chunk summaries currently cached.
     pub fn cached_chunks(&self) -> usize {
-        self.cache.lock().map.len()
+        self.cache.lock().len()
     }
 
     /// Exact landscape of the `2^bits` subspace (genomes `0..2^bits`).
@@ -109,44 +93,33 @@ impl LandscapeOracle {
     /// before calling).
     pub fn subspace(&self, bits: u32) -> SubspaceAnswer {
         assert!((6..=36).contains(&bits), "subspace bits out of range");
-        let levels = self.spec.max_fitness() as usize + 1;
-        let mut hist = vec![0u64; levels];
-        let mut max_count = 0u64;
-        let mut samples: Vec<u64> = Vec::new();
+        let mut answer = self.empty(RESPONSE_SAMPLE_CAP);
         if bits < CHUNK_GENOME_BITS {
-            // small subspace: score its blocks directly, no cache
-            let mut kernel = BlockKernel::new(self.spec);
-            accumulate_blocks(
-                &mut kernel,
-                0,
-                1 << (bits - 6),
-                &mut hist,
-                &mut max_count,
-                &mut samples,
-                RESPONSE_SAMPLE_CAP,
-            );
+            // small subspace: scan its blocks directly, no cache
+            answer.scan(&mut BlockKernel::new(self.spec), 0, 1 << (bits - 6));
         } else {
+            // chunks merge in ascending order and each holds its own
+            // ascending prefix, so the merge keeps the canonical global
+            // prefix
             for chunk in 0..1u64 << (bits - CHUNK_GENOME_BITS) {
-                let summary = self.chunk(chunk);
-                for (slot, &c) in hist.iter_mut().zip(&summary.hist) {
-                    *slot += c;
-                }
-                max_count += summary.max_count;
-                // chunks fold in ascending order and each holds its own
-                // ascending prefix, so the first RESPONSE_SAMPLE_CAP of
-                // the concatenation is the canonical global prefix
-                let room = RESPONSE_SAMPLE_CAP.saturating_sub(samples.len());
-                samples.extend(summary.samples.iter().take(room).copied());
+                answer.merge(&self.chunk(chunk));
             }
         }
         SubspaceAnswer {
             bits,
             genomes: 1 << bits,
-            hist,
             max_fitness: self.spec.max_fitness(),
-            max_count,
-            samples,
+            max_count: answer.top_count(),
+            hist: answer.hist,
+            samples: answer.samples,
         }
+    }
+
+    /// An empty partial over the spec's levels sampling up to `cap`
+    /// max-set genomes.
+    fn empty(&self, cap: usize) -> Partial {
+        let max = self.spec.max_fitness() as usize;
+        Partial::new(max + 1, max, cap)
     }
 
     /// Exact fitness of one genome, scored through the sweep kernel (the
@@ -160,15 +133,14 @@ impl LandscapeOracle {
     }
 
     /// The summary of chunk `chunk`, from cache or computed.
-    fn chunk(&self, chunk: u64) -> Arc<ChunkSummary> {
+    fn chunk(&self, chunk: u64) -> Arc<Partial> {
         {
             let mut cache = self.cache.lock();
-            cache.clock += 1;
-            let clock = cache.clock;
-            if let Some((stamp, summary)) = cache.map.get_mut(&chunk) {
-                *stamp = clock;
+            if let Some(i) = cache.iter().position(|(c, _)| *c == chunk) {
+                let hit = cache.remove(i);
+                cache.push(hit);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(summary);
+                return Arc::clone(&cache[cache.len() - 1].1);
             }
         }
         // compute outside the lock: concurrent requests may duplicate
@@ -177,70 +149,22 @@ impl LandscapeOracle {
         self.misses.fetch_add(1, Ordering::Relaxed);
         let summary = Arc::new(self.compute_chunk(chunk));
         let mut cache = self.cache.lock();
-        cache.clock += 1;
-        let clock = cache.clock;
-        cache.map.insert(chunk, (clock, Arc::clone(&summary)));
-        if cache.map.len() > self.capacity {
-            if let Some(&oldest) = cache
-                .map
-                .iter()
-                .min_by_key(|(_, (stamp, _))| *stamp)
-                .map(|(k, _)| k)
-            {
-                cache.map.remove(&oldest);
-            }
+        cache.retain(|(c, _)| *c != chunk);
+        cache.push((chunk, Arc::clone(&summary)));
+        if cache.len() > self.capacity {
+            cache.remove(0);
         }
         summary
     }
 
-    fn compute_chunk(&self, chunk: u64) -> ChunkSummary {
-        let levels = self.spec.max_fitness() as usize + 1;
-        let mut hist = vec![0u64; levels];
-        let mut max_count = 0u64;
-        let mut samples = Vec::new();
-        let mut kernel = BlockKernel::new(self.spec);
-        accumulate_blocks(
-            &mut kernel,
+    fn compute_chunk(&self, chunk: u64) -> Partial {
+        let mut summary = self.empty(CHUNK_SAMPLE_CAP);
+        summary.scan(
+            &mut BlockKernel::new(self.spec),
             chunk * CHUNK_BLOCKS,
             (chunk + 1) * CHUNK_BLOCKS,
-            &mut hist,
-            &mut max_count,
-            &mut samples,
-            CHUNK_SAMPLE_CAP,
         );
-        ChunkSummary {
-            hist,
-            max_count,
-            samples,
-        }
-    }
-}
-
-/// Score blocks `start..end` into the accumulators (the same fold the
-/// sweep driver's workers perform, at request granularity).
-fn accumulate_blocks(
-    kernel: &mut BlockKernel,
-    start: u64,
-    end: u64,
-    hist: &mut [u64],
-    max_count: &mut u64,
-    samples: &mut Vec<u64>,
-    sample_cap: usize,
-) {
-    let top = hist.len() - 1;
-    for block in start..end {
-        let planes = kernel.score_block(block);
-        let masks = score_masks(&planes);
-        for (v, slot) in hist.iter_mut().enumerate() {
-            *slot += u64::from(masks[v].count_ones());
-        }
-        let mut max_mask = masks[top];
-        *max_count += u64::from(max_mask.count_ones());
-        while max_mask != 0 && samples.len() < sample_cap {
-            let lane = max_mask.trailing_zeros() as u64;
-            samples.push(block * BLOCK_GENOMES + lane);
-            max_mask &= max_mask - 1;
-        }
+        summary
     }
 }
 

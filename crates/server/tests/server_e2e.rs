@@ -404,3 +404,44 @@ fn campaign_runs_and_reports_a_verified_oracle() {
     assert_eq!(status, 400);
     assert_eq!(error_code(&body), "bad_request");
 }
+
+/// Run `loadgen` against `addr`; returns (exit code, the one pass row).
+fn loadgen_pass(addr: &str, mix: &str) -> (Option<i32>, Json) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_loadgen"))
+        .args(["--addr", addr, "--requests", "8", "--clients", "2"])
+        .args(["--mix", mix])
+        .output()
+        .expect("loadgen runs");
+    let report = Json::parse(String::from_utf8(out.stdout).expect("utf-8").trim())
+        .expect("loadgen prints one JSON report");
+    let row = report
+        .get("passes")
+        .and_then(Json::as_array)
+        .and_then(|p| p.first())
+        .cloned()
+        .expect("one pass row");
+    (out.status.code(), row)
+}
+
+#[test]
+fn loadgen_reports_throughput_and_latency_of_successes_only() {
+    let field = |row: &Json, k: &str| row.get(k).and_then(Json::as_f64).expect(k);
+    let server = start_server();
+    let (code, row) = loadgen_pass(&server.addr().to_string(), "health");
+    assert_eq!(code, Some(0));
+    assert_eq!((field(&row, "ok"), field(&row, "errors")), (8.0, 0.0));
+    assert!(field(&row, "rps") > 0.0 && field(&row, "p50_micros") > 0.0);
+    drop(server);
+
+    // nothing listens on a just-released port: every connection is
+    // refused, so there is no throughput and no latency to report
+    let closed = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("ephemeral port");
+    let (code, row) = loadgen_pass(&closed.to_string(), "health");
+    assert_eq!(code, Some(1), "failed requests must fail the run");
+    assert_eq!((field(&row, "ok"), field(&row, "errors")), (0.0, 8.0));
+    assert_eq!(field(&row, "rps"), 0.0);
+    assert_eq!(field(&row, "p50_micros"), 0.0);
+    assert_eq!(field(&row, "p99_micros"), 0.0);
+}

@@ -299,7 +299,8 @@ pub struct ServerRow {
 }
 
 impl ServerRow {
-    fn to_json(&self) -> Json {
+    /// The row as the JSON object a manifest stores.
+    pub fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("route".to_string(), Json::Str(self.route.clone())),
             ("clients".to_string(), Json::Num(self.clients as f64)),

@@ -2,9 +2,12 @@
 //! plan is an exact disjoint cover of the block space, and the merged
 //! sweep result is bit-identical to a single-shard, single-threaded
 //! reference — parallel scheduling may reorder the work but never change
-//! the landscape.
+//! the landscape. The same holds for the one driver running any registry
+//! problem's kernel, which must also agree with `subspace_sweep`.
 
 use leonardo_landscape::{Shard, ShardPlan, StopToken, Sweep, SweepConfig, SweepStatus};
+use leonardo_problems::{problem_registry, subspace_sweep};
+use leonardo_rtl::bitslice::{W256, W512};
 use proptest::prelude::*;
 
 proptest! {
@@ -51,13 +54,16 @@ proptest! {
 
     /// Sweeping the same subspace under arbitrary shard counts, thread
     /// counts and chunk sizes merges to a histogram and max-sample list
-    /// bit-identical to the 1-shard 1-thread reference.
+    /// bit-identical to the 1-shard 1-thread reference — for the gait
+    /// landscape and for a registry problem's kernel, whose sweep must
+    /// also match `subspace_sweep` under the same configuration.
     #[test]
     fn merged_sweep_is_bit_identical_for_any_configuration(
         bits in 8u32..=13,
         shards in 1usize..=17,
         threads in 1usize..=4,
         chunk in 1u64..=64,
+        problem in 0usize..3,
     ) {
         let mut reference_cfg = SweepConfig::subspace(bits);
         reference_cfg.num_shards = 1;
@@ -78,5 +84,32 @@ proptest! {
         prop_assert_eq!(got.max_count, want.max_count);
         prop_assert_eq!(got.max_samples, want.max_samples);
         prop_assert_eq!(got.genomes_swept, 1u64 << bits);
+
+        // the registry problem through the same driver: the reference
+        // runs the 64-lane kernel, the configured sweep a 256-lane one
+        // whose blocks straddle chunk and shard edges
+        let spec = &problem_registry()[problem];
+        let levels = spec.max_fitness as usize + 1;
+        let mut reference_cfg = SweepConfig::subspace(bits);
+        reference_cfg.num_shards = 1;
+        reference_cfg.threads = 1;
+        let mut reference = Sweep::with_kernel(reference_cfg, levels, 0, move || spec.kernel::<u64>());
+        prop_assert_eq!(reference.run(&StopToken::never()), SweepStatus::Complete);
+        let want = reference.merged();
+
+        let mut cfg = SweepConfig::subspace(bits);
+        cfg.num_shards = shards;
+        cfg.threads = threads;
+        cfg.chunk_blocks = chunk;
+        let mut sweep = Sweep::with_kernel(cfg, levels, 0, move || spec.kernel::<W256>());
+        prop_assert_eq!(sweep.run(&StopToken::never()), SweepStatus::Complete);
+        let got = sweep.merged();
+        prop_assert_eq!(&got, &want);
+        prop_assert_eq!(got.hist.iter().sum::<u64>(), 1u64 << bits);
+
+        let summary = subspace_sweep::<W512>(spec, bits, shards, threads);
+        prop_assert_eq!(&summary.histogram, &got.hist);
+        prop_assert_eq!(Some(summary.best_fitness as usize), got.top());
+        prop_assert_eq!(Some(&summary.best_genome), got.samples.first());
     }
 }
