@@ -10,11 +10,12 @@
 //! Usage: `e10_islands [--trials N]`
 
 use discipulus::stats::SampleSummary;
+use evo::evolvable::Evolvable;
 use evo::ga::GaConfig;
 use evo::island::{IslandConfig, IslandModel};
 use evo::problem::Trap;
 use leonardo_bench::harness::{arg_or, trial_seeds};
-use leonardo_bench::GaitRuleProblem;
+use leonardo_problems::GaitProblem;
 
 fn scaling_on<P: evo::problem::Problem + Sync>(
     name: &str,
@@ -69,7 +70,7 @@ fn main() {
 
     scaling_on(
         "gait rule landscape (36 bits, the chip's problem)",
-        &GaitRuleProblem::paper(),
+        &Evolvable(GaitProblem::paper()),
         trials,
         2_000,
     );

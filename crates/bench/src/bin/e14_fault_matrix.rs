@@ -101,8 +101,8 @@ fn main() {
                 "agree"
             );
 
-            session.add_campaign(x64.manifest_row());
-            session.add_campaign(scalar.manifest_row());
+            session.add_row("campaigns", x64.manifest_row());
+            session.add_row("campaigns", scalar.manifest_row());
         }
     }
 

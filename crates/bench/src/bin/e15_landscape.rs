@@ -31,7 +31,7 @@ use leonardo_bench::{Comparison, ComparisonTable, ExperimentSession, Verdict};
 use leonardo_landscape::{
     LandscapeResult, StopToken, Sweep, SweepConfig, SweepStatus, FULL_SWEEP_MAX_SET,
 };
-use leonardo_telemetry::LandscapeRow;
+use leonardo_telemetry::json::Json;
 use std::time::Instant;
 
 /// Paper fact F7: full enumeration takes ~19 h on the 1 MHz chip.
@@ -157,15 +157,23 @@ fn main() {
         result.count_at(attained)
     );
 
-    session.add_landscape_row(LandscapeRow {
-        subspace_bits: subspace_bits as u64,
-        shards: result.shards as u64,
-        threads: threads as u64,
-        genomes_swept: result.genomes_swept,
-        max_fitness: result.max_fitness as u64,
-        max_count: result.max_count,
-        histogram: result.histogram.counts().to_vec(),
-    });
+    let histogram = result
+        .histogram
+        .counts()
+        .iter()
+        .map(|&c| Json::Num(c as f64));
+    session.add_row(
+        "landscape",
+        Json::obj([
+            ("subspace_bits", Json::Num(f64::from(subspace_bits))),
+            ("shards", Json::Num(result.shards as f64)),
+            ("threads", Json::Num(threads as f64)),
+            ("genomes_swept", Json::Num(result.genomes_swept as f64)),
+            ("max_fitness", Json::Num(f64::from(result.max_fitness))),
+            ("max_count", Json::Num(result.max_count as f64)),
+            ("histogram", Json::Arr(histogram.collect())),
+        ]),
+    );
 
     let full = subspace_bits == GENOME_BITS as u32;
     if full {

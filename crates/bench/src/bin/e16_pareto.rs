@@ -27,7 +27,8 @@ use leonardo_bench::{
     max_set_walk_table, nsga2_campaigns, rule_walk_front, Comparison, ComparisonTable,
     ExperimentSession, GaitMoProblem, Verdict,
 };
-use leonardo_telemetry::ParetoRow;
+use leonardo_telemetry::json::Json;
+use leonardo_telemetry::{RunManifest, MANIFEST_SCHEMA_VERSION};
 use leonardo_walker::objectives::objective_registry;
 use std::time::Instant;
 
@@ -110,16 +111,29 @@ fn main() {
             best_margin,
             best_energy
         );
-        session.add_pareto_row(ParetoRow {
-            campaign: "nsga2_walk".to_string(),
-            seed: c.seed,
-            population: population as u64,
-            generations: c.generations,
-            evaluations: c.evaluations,
-            front_size: c.front.len() as u64,
-            objectives: names.clone(),
-            best: vec![best_distance, best_margin, -best_energy],
-        });
+        session.add_row(
+            "pareto",
+            Json::obj([
+                ("campaign", Json::Str("nsga2_walk".to_string())),
+                ("seed", Json::Num(c.seed as f64)),
+                ("population", Json::Num(population as f64)),
+                ("generations", Json::Num(c.generations as f64)),
+                ("evaluations", Json::Num(c.evaluations as f64)),
+                ("front_size", Json::Num(c.front.len() as f64)),
+                (
+                    "objectives",
+                    Json::Arr(names.iter().map(|n| Json::Str(n.clone())).collect()),
+                ),
+                (
+                    "best",
+                    Json::Arr(
+                        [best_distance, best_margin, -best_energy]
+                            .map(Json::Num)
+                            .to_vec(),
+                    ),
+                ),
+            ]),
+        );
     }
 
     let table_start = Instant::now();
@@ -200,6 +214,29 @@ fn main() {
 
     let manifest_path = session.manifest_path();
     let manifest = session.finish();
-    assert_eq!(manifest.pareto.len(), num_seeds);
+    check_manifest(&manifest, &manifest_path, num_seeds);
     println!("run manifest: {}", manifest_path.display());
+}
+
+/// The manifest on disk equals the one the session finished with and
+/// holds one `nsga2_walk` row per seed, each with a non-empty front and
+/// one best value per objective.
+fn check_manifest(manifest: &RunManifest, path: &std::path::Path, num_seeds: usize) {
+    let back = RunManifest::read(path).expect("manifest reads back");
+    assert_eq!(&back, manifest);
+    assert_eq!(back.schema_version, MANIFEST_SCHEMA_VERSION);
+    let rows = back.rows("pareto");
+    assert_eq!(rows.len(), num_seeds);
+    for r in rows {
+        assert_eq!(r.get("campaign").and_then(Json::as_str), Some("nsga2_walk"));
+        let front_size = r.get("front_size").and_then(Json::as_u64);
+        assert!(front_size.is_some_and(|n| n >= 1), "{r}");
+        let objectives: Vec<&str> = r
+            .get("objectives")
+            .and_then(Json::as_array)
+            .map_or(Vec::new(), |o| o.iter().filter_map(Json::as_str).collect());
+        assert_eq!(objectives, ["distance_mm", "min_margin_mm", "neg_energy_j"]);
+        let best = r.get("best").and_then(Json::as_array);
+        assert_eq!(best.map(<[Json]>::len), Some(3), "{r}");
+    }
 }

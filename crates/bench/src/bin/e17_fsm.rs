@@ -27,7 +27,8 @@ use leonardo_bench::{
 };
 use leonardo_problems::{problem_registry, subspace_sweep};
 use leonardo_rtl::bitslice::W256;
-use leonardo_telemetry::LandscapeRow;
+use leonardo_telemetry::json::Json;
+use leonardo_telemetry::{RunManifest, MANIFEST_SCHEMA_VERSION};
 use std::time::Instant;
 
 /// Campaign seeds: the e1-style trial space, as 64-bit values.
@@ -76,7 +77,7 @@ fn main() {
         let converged = trials.iter().filter(|t| t.converged).count();
         convergence.push((spec.name, converged, trials.len()));
         for t in &trials {
-            session.add_problem_row(problem_row(spec, t));
+            session.add_row("problems", problem_row(spec, t));
         }
 
         let bits = sweep_bits.min(spec.width as u32);
@@ -95,19 +96,24 @@ fn main() {
             sweep.genomes(),
             sweep.histogram.len()
         );
-        session.add_landscape_row(LandscapeRow {
-            subspace_bits: u64::from(bits),
-            shards: shards as u64,
-            threads: worker_count as u64,
-            genomes_swept: sweep.genomes(),
-            max_fitness: u64::from(spec.max_fitness),
-            max_count: if sweep.best_fitness == spec.max_fitness {
-                sweep.best_count()
-            } else {
-                0
-            },
-            histogram: sweep.histogram.clone(),
-        });
+        let histogram = sweep.histogram.iter().map(|&c| Json::Num(c as f64));
+        let max_count = if sweep.best_fitness == spec.max_fitness {
+            sweep.best_count()
+        } else {
+            0
+        };
+        session.add_row(
+            "landscape",
+            Json::obj([
+                ("subspace_bits", Json::Num(f64::from(bits))),
+                ("shards", Json::Num(shards as f64)),
+                ("threads", Json::Num(worker_count as f64)),
+                ("genomes_swept", Json::Num(sweep.genomes() as f64)),
+                ("max_fitness", Json::Num(f64::from(spec.max_fitness))),
+                ("max_count", Json::Num(max_count as f64)),
+                ("histogram", Json::Arr(histogram.collect())),
+            ]),
+        );
     }
 
     let mut t = ComparisonTable::new("E17 — FSM synthesis through the problem registry");
@@ -147,10 +153,31 @@ fn main() {
 
     let manifest_path = session.manifest_path();
     let manifest = session.finish();
-    assert_eq!(
-        manifest.problems.len(),
-        problem_registry().len() * num_seeds
-    );
-    assert_eq!(manifest.landscape.len(), problem_registry().len());
+    check_manifest(&manifest, &manifest_path, num_seeds);
     println!("run manifest: {}", manifest_path.display());
+}
+
+/// The manifest on disk equals the one the session finished with and
+/// holds one `problems` row per (problem, seed) with a hex best genome
+/// and a spent budget, plus one `landscape` row per problem.
+fn check_manifest(manifest: &RunManifest, path: &std::path::Path, num_seeds: usize) {
+    let back = RunManifest::read(path).expect("manifest reads back");
+    assert_eq!(&back, manifest);
+    assert_eq!(back.schema_version, MANIFEST_SCHEMA_VERSION);
+    let rows = back.rows("problems");
+    assert_eq!(rows.len(), problem_registry().len() * num_seeds);
+    let mut names: Vec<&str> = rows
+        .iter()
+        .filter_map(|r| r.get("problem").and_then(Json::as_str))
+        .collect();
+    names.sort_unstable();
+    names.dedup();
+    assert_eq!(names, ["fsm_traces", "gait", "serial_adder"]);
+    for r in rows {
+        let genome = r.get("best_genome").and_then(Json::as_str);
+        assert!(genome.is_some_and(|g| g.starts_with("0x")), "{r}");
+        let evaluations = r.get("evaluations").and_then(Json::as_u64);
+        assert!(evaluations.is_some_and(|e| e > 0), "{r}");
+    }
+    assert_eq!(back.rows("landscape").len(), problem_registry().len());
 }

@@ -9,14 +9,12 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod gait_problem;
 pub mod harness;
 pub mod mo_campaign;
 pub mod problems_campaign;
 pub mod report;
 pub mod session;
 
-pub use gait_problem::GaitRuleProblem;
 pub use harness::{convergence_sample, parallel_map, trial_seeds, ConvergenceStats};
 pub use mo_campaign::{
     max_set_walk_table, nsga2_campaigns, rule_walk_front, seeded_subsample_indices, GaitMoProblem,

@@ -2,19 +2,19 @@
 //!
 //! The single-objective GA pointed at the problem registry: every
 //! campaign is a seeded [`Ga`] run against one registered
-//! [`EvolvableProblem`], fanned out over the work-stealing exec driver
-//! and bit-identical at any thread count. Each trial's winner is
-//! cross-checked through the problem's bit-parallel batch kernel at the
-//! caller's plane width, so a campaign cannot report a fitness the
-//! sliced path disagrees with — the same scalar-vs-kernel equality the
-//! conformance suite pins, enforced once more on the genomes evolution
-//! actually finds.
+//! [`EvolvableProblem`](evo::evolvable::EvolvableProblem), fanned out
+//! over the work-stealing exec driver and bit-identical at any thread
+//! count. Each trial's winner is cross-checked through the problem's
+//! bit-parallel batch kernel at the caller's plane width, so a campaign
+//! cannot report a fitness the sliced path disagrees with — the same
+//! scalar-vs-kernel equality the conformance suite pins, enforced once
+//! more on the genomes evolution actually finds.
 
 use evo::evolvable::Evolvable;
 use evo::ga::{Ga, GaConfig};
 use leonardo_problems::{KernelPlane, ProblemSpec};
 use leonardo_telemetry as tele;
-use leonardo_telemetry::ProblemRow;
+use leonardo_telemetry::json::Json;
 use std::fmt::Write as _;
 
 use crate::harness::parallel_map_threads;
@@ -102,18 +102,22 @@ pub fn problem_campaigns<P: KernelPlane>(
     })
 }
 
-/// A manifest `problems` row (telemetry schema v7) for one trial.
-pub fn problem_row(spec: &ProblemSpec, trial: &ProblemTrial) -> ProblemRow {
-    ProblemRow {
-        problem: spec.name.to_string(),
-        width: spec.width as u64,
-        seed: trial.seed,
-        generations: trial.generations,
-        evaluations: trial.evaluations,
-        best_fitness: u64::from(trial.best_fitness),
-        best_genome: format!("{:#x}", trial.best_genome),
-        converged: trial.converged,
-    }
+/// A row for the manifest's `problems` table (telemetry schema v7) for
+/// one trial.
+pub fn problem_row(spec: &ProblemSpec, trial: &ProblemTrial) -> Json {
+    Json::obj([
+        ("problem", Json::Str(spec.name.to_string())),
+        ("width", Json::Num(spec.width as f64)),
+        ("seed", Json::Num(trial.seed as f64)),
+        ("generations", Json::Num(trial.generations as f64)),
+        ("evaluations", Json::Num(trial.evaluations as f64)),
+        ("best_fitness", Json::Num(f64::from(trial.best_fitness))),
+        (
+            "best_genome",
+            Json::Str(format!("{:#x}", trial.best_genome)),
+        ),
+        ("converged", Json::Bool(trial.converged)),
+    ])
 }
 
 /// Render one problem's campaign results as the fixed-width table the
@@ -190,10 +194,13 @@ mod tests {
         let s = spec("serial_adder");
         let trials = problem_campaigns::<u64>(s, &[0x1000], 5, 1);
         let row = problem_row(s, &trials[0]);
-        assert_eq!(row.problem, "serial_adder");
-        assert_eq!(row.width, 16);
-        assert_eq!(row.seed, 0x1000);
-        assert_eq!(row.best_genome, format!("{:#x}", trials[0].best_genome));
+        let text = |k: &str| row.get(k).and_then(Json::as_str);
+        let uint = |k: &str| row.get(k).and_then(Json::as_u64);
+        assert_eq!(text("problem"), Some("serial_adder"));
+        assert_eq!(uint("width"), Some(16));
+        assert_eq!(uint("seed"), Some(0x1000));
+        let genome = format!("{:#x}", trials[0].best_genome);
+        assert_eq!(text("best_genome"), Some(genome.as_str()));
         let table = problem_table(s, &trials);
         assert!(table.contains("problem serial_adder (16-bit genome, max fitness 48)"));
         assert!(table.contains("0 of 1 seed(s) converged") || table.contains("1 of 1 seed(s)"));

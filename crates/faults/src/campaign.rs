@@ -31,7 +31,7 @@ use crate::model::{Fault, FaultModel};
 use crate::rng::FaultRng;
 use leonardo_rtl::bitslice::{lanes, LaneMask};
 use leonardo_telemetry as tele;
-use leonardo_telemetry::manifest::CampaignRow;
+use leonardo_telemetry::json::Json;
 
 /// One fault campaign: a model bombarding every lane at a fixed rate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -482,19 +482,25 @@ impl CampaignReport {
         Ok(())
     }
 
-    /// The campaign's manifest row (the `campaigns` section of a
-    /// [`leonardo_telemetry::RunManifest`]).
-    pub fn manifest_row(&self) -> CampaignRow {
-        CampaignRow {
-            model: self.model.name().to_string(),
-            engine: self.engine.to_string(),
-            rate: self.rate,
-            lanes: self.lanes.len() as u64,
-            recovered: self.recovered() as u64,
-            corrupted: self.corrupted() as u64,
-            permanent_failures: self.permanent_failures() as u64,
-            mean_cost_delta: self.mean_cost_delta(),
+    /// The campaign's row for the `campaigns` table of a
+    /// [`leonardo_telemetry::RunManifest`].
+    pub fn manifest_row(&self) -> Json {
+        let mut row = vec![
+            ("model", Json::Str(self.model.name().to_string())),
+            ("engine", Json::Str(self.engine.to_string())),
+            ("rate", Json::Num(self.rate)),
+            ("lanes", Json::Num(self.lanes.len() as f64)),
+            ("recovered", Json::Num(self.recovered() as f64)),
+            ("corrupted", Json::Num(self.corrupted() as f64)),
+            (
+                "permanent_failures",
+                Json::Num(self.permanent_failures() as f64),
+            ),
+        ];
+        if let Some(delta) = self.mean_cost_delta() {
+            row.push(("mean_cost_delta", Json::Num(delta)));
         }
+        Json::obj(row)
     }
 }
 
@@ -586,12 +592,16 @@ mod tests {
             .with_max_generations(50_000)
             .run_x64(&s);
         let row = report.manifest_row();
-        assert_eq!(row.model, "population_flip");
-        assert_eq!(row.engine, "rtl_x64");
-        assert_eq!(row.lanes, 4);
+        let uint = |k: &str| row.get(k).and_then(Json::as_u64).expect(k);
         assert_eq!(
-            row.recovered + row.corrupted + row.permanent_failures,
-            row.lanes
+            row.get("model").and_then(Json::as_str),
+            Some("population_flip")
+        );
+        assert_eq!(row.get("engine").and_then(Json::as_str), Some("rtl_x64"));
+        assert_eq!(uint("lanes"), 4);
+        assert_eq!(
+            uint("recovered") + uint("corrupted") + uint("permanent_failures"),
+            uint("lanes")
         );
     }
 }

@@ -1,12 +1,12 @@
 //! The paper's gait landscape as a registry problem.
 //!
-//! This is the same fitness the hardware GAP, the bit-sliced batch
-//! engines and the legacy `leonardo-bench::GaitRuleProblem` all compute —
-//! restated through the [`EvolvableProblem`] contract so the generic
-//! drivers (registry GA campaigns, subspace sweeps, the server's
-//! `problem` dispatch) can run it next to the FSM workloads. The
-//! differential pin in `tests/gait_as_problem.rs` holds this path
-//! byte-identical to the legacy direct one.
+//! This is the same fitness the hardware GAP and the bit-sliced batch
+//! engines compute — restated through the [`EvolvableProblem`] contract
+//! so the generic drivers (registry GA campaigns, subspace sweeps, the
+//! island model, the server's `problem` dispatch) can run it next to the
+//! FSM workloads. The differential pin in `tests/gait_as_problem.rs`
+//! holds this path byte-identical to a direct `Problem` over
+//! `FitnessSpec::paper`.
 
 use discipulus::fitness::FitnessSpec;
 use discipulus::genome::{Genome, GENOME_BITS};

@@ -14,8 +14,8 @@
 //! percentile helper, plus successful responses per second); failed
 //! requests are counted as errors and enter neither figure, so a pass
 //! with no successes reports zeros. The JSON report goes to stdout
-//! or `--out`, and `--manifest` additionally writes a schema-v5
-//! `RunManifest` with one `server` row per pass. Exit status is 1 if
+//! or `--out`, and `--manifest` additionally writes a `RunManifest` with
+//! the same rows in its `server` table, one per pass. Exit status is 1 if
 //! any request failed (non-2xx or transport error) — the CI smoke step
 //! relies on that.
 
@@ -24,7 +24,7 @@
 use evo::stats::Summary;
 use leonardo_bench::harness::arg_or;
 use leonardo_telemetry::json::Json;
-use leonardo_telemetry::{RunManifest, ServerRow};
+use leonardo_telemetry::RunManifest;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Instant;
@@ -168,24 +168,31 @@ fn run_pass(
     )
 }
 
-/// Summarise one pass: latency percentiles, mean and throughput over the
-/// successful requests only.
-fn pass_row(clients: usize, results: &[(f64, bool)], wall: f64) -> ServerRow {
+/// Summarise one pass as a manifest `server` row: latency percentiles,
+/// mean and throughput over the successful requests only.
+fn pass_row(clients: usize, results: &[(f64, bool)], wall: f64) -> Json {
     let latencies: Vec<f64> = results.iter().filter(|r| r.1).map(|r| r.0).collect();
-    let ok = latencies.len() as u64;
-    let errors = results.len() as u64 - ok;
+    let ok = latencies.len() as f64;
     let pcts = Summary::percentiles(&latencies, &[50.0, 99.0]).unwrap_or(vec![0.0, 0.0]);
-    ServerRow {
-        route: "ALL".to_string(),
-        clients: clients as u64,
-        requests: ok + errors,
-        ok,
-        errors,
-        p50_micros: pcts[0],
-        p99_micros: pcts[1],
-        mean_micros: Summary::of(&latencies).map_or(0.0, |s| s.mean),
-        rps: if wall > 0.0 { ok as f64 / wall } else { 0.0 },
-    }
+    Json::obj([
+        ("route", Json::Str("ALL".to_string())),
+        ("clients", Json::Num(clients as f64)),
+        ("requests", Json::Num(results.len() as f64)),
+        ("ok", Json::Num(ok)),
+        ("errors", Json::Num(results.len() as f64 - ok)),
+        ("p50_micros", Json::Num(pcts[0])),
+        ("p99_micros", Json::Num(pcts[1])),
+        (
+            "mean_micros",
+            Json::Num(Summary::of(&latencies).map_or(0.0, |s| s.mean)),
+        ),
+        ("rps", Json::Num(if wall > 0.0 { ok / wall } else { 0.0 })),
+    ])
+}
+
+/// A numeric field of a pass row.
+fn num(row: &Json, field: &str) -> f64 {
+    row.get(field).and_then(Json::as_f64).unwrap_or(0.0)
 }
 
 fn main() {
@@ -214,29 +221,31 @@ fn main() {
         std::process::exit(2);
     }
 
-    let mut rows: Vec<ServerRow> = Vec::new();
-    let mut total_errors = 0u64;
+    let mut rows: Vec<Json> = Vec::new();
+    let mut total_errors = 0;
     for &clients in &concurrencies {
         let (results, wall) = run_pass(&addr, requests, clients, &templates);
         let row = pass_row(clients, &results, wall);
-        total_errors += row.errors;
+        total_errors += results.iter().filter(|r| !r.1).count();
         eprintln!(
             "loadgen: clients={clients} requests={} ok={} errors={} \
              p50={:.0}us p99={:.0}us rps={:.0}",
-            row.requests, row.ok, row.errors, row.p50_micros, row.p99_micros, row.rps
+            num(&row, "requests"),
+            num(&row, "ok"),
+            num(&row, "errors"),
+            num(&row, "p50_micros"),
+            num(&row, "p99_micros"),
+            num(&row, "rps")
         );
         rows.push(row);
     }
 
-    let report = Json::Obj(vec![
-        ("label".to_string(), Json::Str(label.clone())),
-        ("addr".to_string(), Json::Str(addr.clone())),
-        ("mix".to_string(), Json::Str(mix.clone())),
-        ("requests_per_pass".to_string(), Json::Num(requests as f64)),
-        (
-            "passes".to_string(),
-            Json::Arr(rows.iter().map(ServerRow::to_json).collect()),
-        ),
+    let report = Json::obj([
+        ("label", Json::Str(label.clone())),
+        ("addr", Json::Str(addr.clone())),
+        ("mix", Json::Str(mix.clone())),
+        ("requests_per_pass", Json::Num(requests as f64)),
+        ("passes", Json::Arr(rows.clone())),
     ])
     .to_string();
     if out.is_empty() {
@@ -252,7 +261,9 @@ fn main() {
         manifest
             .params
             .push(("requests_per_pass".to_string(), requests as f64));
-        manifest.server = rows.clone();
+        for row in rows {
+            manifest.add_row("server", row);
+        }
         if let Err(e) = manifest.write(&manifest_path) {
             eprintln!("error: cannot write {manifest_path}: {e}");
             std::process::exit(1);
@@ -273,9 +284,13 @@ mod tests {
     fn failed_requests_enter_neither_latency_nor_throughput() {
         let results = [(100.0, true), (0.0, false), (300.0, true), (9e9, false)];
         let row = pass_row(2, &results, 2.0);
-        assert_eq!((row.requests, row.ok, row.errors), (4, 2, 2));
-        assert_eq!((row.p50_micros, row.p99_micros), (100.0, 300.0));
-        assert_eq!(row.mean_micros, 200.0);
-        assert_eq!(row.rps, 1.0);
+        let field = |k: &str| num(&row, k);
+        assert_eq!(
+            (field("requests"), field("ok"), field("errors")),
+            (4.0, 2.0, 2.0)
+        );
+        assert_eq!((field("p50_micros"), field("p99_micros")), (100.0, 300.0));
+        assert_eq!(field("mean_micros"), 200.0);
+        assert_eq!(field("rps"), 1.0);
     }
 }

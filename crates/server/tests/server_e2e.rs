@@ -16,6 +16,7 @@
 
 use leonardo_server::{ServerConfig, ServerHandle};
 use leonardo_telemetry::json::Json;
+use leonardo_telemetry::{RunManifest, MANIFEST_SCHEMA_VERSION};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
@@ -405,13 +406,22 @@ fn campaign_runs_and_reports_a_verified_oracle() {
     assert_eq!(error_code(&body), "bad_request");
 }
 
-/// Run `loadgen` against `addr`; returns (exit code, the one pass row).
-fn loadgen_pass(addr: &str, mix: &str) -> (Option<i32>, Json) {
+/// Run `loadgen` against `addr`; returns (exit code, the one pass row,
+/// the manifest it wrote with `--manifest`).
+fn loadgen_pass(addr: &str, mix: &str) -> (Option<i32>, Json, RunManifest) {
+    let path = std::env::temp_dir().join(format!(
+        "leonardo-loadgen-{}.manifest.json",
+        addr.replace([':', '.'], "_")
+    ));
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_loadgen"))
         .args(["--addr", addr, "--requests", "8", "--clients", "2"])
         .args(["--mix", mix])
+        .arg("--manifest")
+        .arg(&path)
         .output()
         .expect("loadgen runs");
+    let manifest = RunManifest::read(&path).expect("loadgen writes its manifest");
+    let _ = std::fs::remove_file(&path);
     let report = Json::parse(String::from_utf8(out.stdout).expect("utf-8").trim())
         .expect("loadgen prints one JSON report");
     let row = report
@@ -420,17 +430,25 @@ fn loadgen_pass(addr: &str, mix: &str) -> (Option<i32>, Json) {
         .and_then(|p| p.first())
         .cloned()
         .expect("one pass row");
-    (out.status.code(), row)
+    (out.status.code(), row, manifest)
 }
 
 #[test]
 fn loadgen_reports_throughput_and_latency_of_successes_only() {
     let field = |row: &Json, k: &str| row.get(k).and_then(Json::as_f64).expect(k);
     let server = start_server();
-    let (code, row) = loadgen_pass(&server.addr().to_string(), "health");
+    let (code, row, manifest) = loadgen_pass(&server.addr().to_string(), "health");
     assert_eq!(code, Some(0));
     assert_eq!((field(&row, "ok"), field(&row, "errors")), (8.0, 0.0));
     assert!(field(&row, "rps") > 0.0 && field(&row, "p50_micros") > 0.0);
+    // the manifest's one `server` row is the reported pass: all requests
+    // succeeded, none failed
+    assert_eq!(manifest.schema_version, MANIFEST_SCHEMA_VERSION);
+    let rows = manifest.rows("server");
+    assert_eq!(rows.len(), 1);
+    assert_eq!(rows[0], row);
+    assert_eq!(field(&rows[0], "ok"), field(&rows[0], "requests"));
+    assert_eq!(field(&rows[0], "errors"), 0.0);
     drop(server);
 
     // nothing listens on a just-released port: every connection is
@@ -438,7 +456,7 @@ fn loadgen_reports_throughput_and_latency_of_successes_only() {
     let closed = std::net::TcpListener::bind("127.0.0.1:0")
         .and_then(|l| l.local_addr())
         .expect("ephemeral port");
-    let (code, row) = loadgen_pass(&closed.to_string(), "health");
+    let (code, row, _) = loadgen_pass(&closed.to_string(), "health");
     assert_eq!(code, Some(1), "failed requests must fail the run");
     assert_eq!((field(&row, "ok"), field(&row, "errors")), (0.0, 8.0));
     assert_eq!(field(&row, "rps"), 0.0);

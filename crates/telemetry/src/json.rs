@@ -28,6 +28,16 @@ pub enum Json {
 }
 
 impl Json {
+    /// An object with `members` in the given order.
+    pub fn obj<'a>(members: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Obj(
+            members
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
     /// Member of an object by key (first match), `None` otherwise.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {

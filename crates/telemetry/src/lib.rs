@@ -18,8 +18,8 @@
 //!   stream, an in-memory [`Aggregator`](sink::Aggregator) with a human
 //!   summary, and a fan-out combinator.
 //! * **Manifests** ([`manifest`]): a versioned [`RunManifest`] recording
-//!   params, seeds, git revision and wall/cycle totals next to every
-//!   experiment artifact.
+//!   params, seeds, git revision, wall/cycle totals and named tables of
+//!   summary rows next to every experiment artifact.
 //!
 //! # Enabling the runtime
 //!
@@ -68,10 +68,7 @@ pub mod manifest;
 pub mod sink;
 
 pub use event::{Event, Level, Payload, Value};
-pub use manifest::{
-    host_cores, CampaignRow, LandscapeRow, ManifestError, ParetoRow, ProblemRow, RunManifest,
-    ServerRow, MANIFEST_SCHEMA_VERSION,
-};
+pub use manifest::{host_cores, ManifestError, RunManifest, MANIFEST_SCHEMA_VERSION};
 
 #[cfg(feature = "runtime")]
 mod runtime {

@@ -5,6 +5,13 @@
 //! and wall/cycle totals needed to reproduce the run and to interpret the
 //! JSONL event stream recorded alongside it. The manifest is versioned
 //! (`schema_version`) so later tooling can keep reading old runs.
+//!
+//! Per-experiment summaries live in named tables: each table is a list of
+//! flat JSON rows written under its own top-level key, and one schema
+//! list names every table's fields, their kinds and whether a row must
+//! carry them. Rows are checked against it when they are added (a bad
+//! row is a panic at the call site) and when a manifest is read (a bad
+//! row is a [`ManifestError`]).
 
 use crate::json::{Json, ParseError};
 use std::io;
@@ -12,26 +19,185 @@ use std::path::Path;
 
 /// Current manifest schema version, written into every manifest.
 ///
-/// Version history:
+/// A new table is one more entry in the schema list, not a version bump:
+/// tables are omitted from the JSON when empty, so older readers never
+/// meet them. Version history:
 /// * **1** — initial schema.
-/// * **2** — optional `campaigns` section (fault-campaign summary rows).
-/// * **3** — optional `landscape` section (exhaustive-sweep summary
-///   rows: subspace width, shard/thread configuration, the full fitness
+/// * **2** — optional `campaigns` table (fault-campaign summary rows).
+/// * **3** — optional `landscape` table (exhaustive-sweep summary rows:
+///   subspace width, shard/thread configuration, the full fitness
 ///   histogram and the max-set cardinality).
 /// * **4** — `host_cores` (detected hardware parallelism) and
 ///   `plane_width` (bit-slice lanes per plane word) execution-shape
 ///   fields. Both default when absent, so v1–v3 manifests stay readable.
-/// * **5** — optional `server` section (per-route latency/throughput
-///   summary rows from `leonardo-server` load runs). Absent from the
-///   JSON when empty, so v1–v4 manifests stay readable.
-/// * **6** — optional `pareto` section (multi-objective campaign rows:
-///   objective names, front size, per-objective bests). Absent from the
-///   JSON when empty, so v1–v5 manifests stay readable.
-/// * **7** — optional `problems` section (registry-problem GA campaign
+/// * **5** — optional `server` table (per-route latency/throughput
+///   summary rows from `leonardo-server` load runs).
+/// * **6** — optional `pareto` table (multi-objective campaign rows:
+///   objective names, front size, per-objective bests).
+/// * **7** — optional `problems` table (registry-problem GA campaign
 ///   rows: problem name, genome width, seed, budget spent and the best
-///   genome reached). Absent from the JSON when empty, so v1–v6
-///   manifests stay readable.
+///   genome reached).
 pub const MANIFEST_SCHEMA_VERSION: u64 = 7;
+
+/// The JSON type a table field holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Str,
+    /// A whole non-negative number ([`Json::as_u64`]).
+    Uint,
+    Num,
+    Bool,
+    Strs,
+    Uints,
+    Nums,
+}
+
+impl Kind {
+    fn is_array(self) -> bool {
+        matches!(self, Kind::Strs | Kind::Uints | Kind::Nums)
+    }
+
+    fn accepts(self, v: &Json) -> bool {
+        let element = match self {
+            Kind::Str => return v.as_str().is_some(),
+            Kind::Uint => return v.as_u64().is_some(),
+            Kind::Num => return v.as_f64().is_some(),
+            Kind::Bool => return v.as_bool().is_some(),
+            Kind::Strs => Kind::Str,
+            Kind::Uints => Kind::Uint,
+            Kind::Nums => Kind::Num,
+        };
+        v.as_array()
+            .is_some_and(|items| items.iter().all(|x| element.accepts(x)))
+    }
+}
+
+/// One table field: name, kind, and whether every row must carry it.
+type Field = (&'static str, Kind, bool);
+
+use Kind::*;
+
+/// The manifest's tables in on-disk order, each with its fields in
+/// on-disk order.
+const TABLES: &[(&str, &[Field])] = &[
+    // fault campaigns (v2): one row per (model, rate, engine)
+    (
+        "campaigns",
+        &[
+            ("model", Str, true),  // fault-model name, e.g. "population_flip"
+            ("engine", Str, true), // "rtl_scalar" / "rtl_x64"
+            ("rate", Num, true),   // faults per generation per lane
+            ("lanes", Uint, true),
+            ("recovered", Uint, true), // reconverged to a genuinely maximal genome
+            ("corrupted", Uint, true), // best register silently corrupted
+            ("permanent_failures", Uint, true), // never reconverged
+            // mean faulted − fault-free generations over recovered lanes,
+            // present when any lane qualified
+            ("mean_cost_delta", Num, false),
+        ],
+    ),
+    // exhaustive sweeps (v3)
+    (
+        "landscape",
+        &[
+            ("subspace_bits", Uint, true), // 36 = the full space
+            ("shards", Uint, true),
+            ("threads", Uint, true),
+            ("genomes_swept", Uint, true),
+            ("max_fitness", Uint, true),
+            ("max_count", Uint, true), // cardinality of the max-fitness set
+            ("histogram", Uints, true), // genome count per fitness level
+        ],
+    ),
+    // server load passes (v5)
+    (
+        "server",
+        &[
+            ("route", Str, true), // "METHOD /path", or "ALL" for a mixed pass
+            ("clients", Uint, true),
+            ("requests", Uint, true),
+            ("ok", Uint, true),     // 2xx responses
+            ("errors", Uint, true), // non-2xx responses and transport failures
+            ("p50_micros", Num, true),
+            ("p99_micros", Num, true),
+            ("mean_micros", Num, true),
+            ("rps", Num, true), // successful responses per second
+        ],
+    ),
+    // multi-objective campaigns (v6)
+    (
+        "pareto",
+        &[
+            ("campaign", Str, true), // e.g. "nsga2_walk"
+            ("seed", Uint, true),
+            ("population", Uint, true),
+            ("generations", Uint, true),
+            ("evaluations", Uint, true),
+            ("front_size", Uint, true),
+            ("objectives", Strs, true), // objective names, in vector order
+            ("best", Nums, true),       // best (maximized) value per objective
+        ],
+    ),
+    // registry-problem GA campaigns (v7)
+    (
+        "problems",
+        &[
+            ("problem", Str, true), // registered name, e.g. "fsm_traces"
+            ("width", Uint, true),  // genome bits
+            ("seed", Uint, true),
+            ("generations", Uint, true),
+            ("evaluations", Uint, true),
+            ("best_fitness", Uint, true),
+            ("best_genome", Str, true), // 0x-prefixed hex
+            ("converged", Bool, true),  // reached the registered maximum
+        ],
+    ),
+];
+
+fn table_index(table: &str) -> usize {
+    TABLES
+        .iter()
+        .position(|(name, _)| *name == table)
+        .unwrap_or_else(|| panic!("unknown manifest table `{table}`"))
+}
+
+/// Check row `idx` of `table` against its schema: array fields first,
+/// then scalars, each in schema order, so the first fault reported is
+/// the one the schema v2–v7 readers reported.
+fn check_row(table: &str, fields: &[Field], row: &Json, idx: usize) -> Result<(), ManifestError> {
+    let arrays = fields.iter().filter(|f| f.1.is_array());
+    let scalars = fields.iter().filter(|f| !f.1.is_array());
+    for &(name, kind, required) in arrays.chain(scalars) {
+        let ctx = || format!("{table}[{idx}].{name}");
+        match row.get(name) {
+            None if required => return Err(ManifestError::Missing(ctx())),
+            Some(v) if !kind.accepts(v) => return Err(ManifestError::BadField(ctx())),
+            _ => {}
+        }
+    }
+    Ok(())
+}
+
+/// `root[name]` through `conv`: `None` when absent, `BadField` when
+/// present but rejected by `conv`.
+fn optional<T>(
+    root: &Json,
+    name: &str,
+    conv: impl Fn(&Json) -> Option<T>,
+) -> Result<Option<T>, ManifestError> {
+    root.get(name)
+        .map(|v| conv(v).ok_or_else(|| ManifestError::BadField(name.to_string())))
+        .transpose()
+}
+
+/// [`optional`], with absence a `Missing` error.
+fn required<T>(
+    root: &Json,
+    name: &str,
+    conv: impl Fn(&Json) -> Option<T>,
+) -> Result<T, ManifestError> {
+    optional(root, name, conv)?.ok_or_else(|| ManifestError::Missing(name.to_string()))
+}
 
 /// A reproducibility record for one experiment run.
 ///
@@ -71,439 +237,8 @@ pub struct RunManifest {
     /// Relative path of the JSONL event stream recorded with this run,
     /// when one was recorded.
     pub events_file: Option<String>,
-    /// Fault-campaign summary rows, when the run injected faults
-    /// (schema v2; absent from the JSON when empty, so v1 readers and
-    /// fault-free runs are unaffected).
-    pub campaigns: Vec<CampaignRow>,
-    /// Landscape-sweep summary rows, when the run enumerated the genome
-    /// landscape (schema v3; absent from the JSON when empty, so v1/v2
-    /// readers and sweep-free runs are unaffected).
-    pub landscape: Vec<LandscapeRow>,
-    /// Server load-run summary rows, when the run drove `leonardo-server`
-    /// (schema v5; absent from the JSON when empty, so v1–v4 readers and
-    /// serverless runs are unaffected).
-    pub server: Vec<ServerRow>,
-    /// Multi-objective campaign summary rows, when the run evolved or
-    /// scored Pareto fronts (schema v6; absent from the JSON when empty,
-    /// so v1–v5 readers and single-objective runs are unaffected).
-    pub pareto: Vec<ParetoRow>,
-    /// Registry-problem GA campaign summary rows, when the run evolved a
-    /// registered evolvable problem (schema v7; absent from the JSON
-    /// when empty, so v1–v6 readers and problem-free runs are
-    /// unaffected).
-    pub problems: Vec<ProblemRow>,
-}
-
-/// One registry-problem GA campaign's summary line in a [`RunManifest`]:
-/// a seeded single-objective run against one registered problem and the
-/// best genome it reached.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProblemRow {
-    /// Registered problem name (e.g. `"gait"`, `"fsm_traces"`).
-    pub problem: String,
-    /// Genome width in bits.
-    pub width: u64,
-    /// The RNG seed the campaign consumed.
-    pub seed: u64,
-    /// Generations executed.
-    pub generations: u64,
-    /// Fitness evaluations performed.
-    pub evaluations: u64,
-    /// Best fitness reached.
-    pub best_fitness: u64,
-    /// Best genome reached, as a `0x`-prefixed hex literal.
-    pub best_genome: String,
-    /// Whether the run reached the problem's registered maximum.
-    pub converged: bool,
-}
-
-impl ProblemRow {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("problem".to_string(), Json::Str(self.problem.clone())),
-            ("width".to_string(), Json::Num(self.width as f64)),
-            ("seed".to_string(), Json::Num(self.seed as f64)),
-            (
-                "generations".to_string(),
-                Json::Num(self.generations as f64),
-            ),
-            (
-                "evaluations".to_string(),
-                Json::Num(self.evaluations as f64),
-            ),
-            (
-                "best_fitness".to_string(),
-                Json::Num(self.best_fitness as f64),
-            ),
-            (
-                "best_genome".to_string(),
-                Json::Str(self.best_genome.clone()),
-            ),
-            ("converged".to_string(), Json::Bool(self.converged)),
-        ])
-    }
-
-    fn from_json(v: &Json, idx: usize) -> Result<ProblemRow, ManifestError> {
-        let ctx = |name: &str| format!("problems[{idx}].{name}");
-        let field = |name: &str| v.get(name).ok_or_else(|| ManifestError::Missing(ctx(name)));
-        let uint = |name: &str| {
-            field(name)?
-                .as_u64()
-                .ok_or_else(|| ManifestError::BadField(ctx(name)))
-        };
-        let string = |name: &str| {
-            Ok::<String, ManifestError>(
-                field(name)?
-                    .as_str()
-                    .ok_or_else(|| ManifestError::BadField(ctx(name)))?
-                    .to_string(),
-            )
-        };
-        let converged = field("converged")?
-            .as_bool()
-            .ok_or_else(|| ManifestError::BadField(ctx("converged")))?;
-        Ok(ProblemRow {
-            problem: string("problem")?,
-            width: uint("width")?,
-            seed: uint("seed")?,
-            generations: uint("generations")?,
-            evaluations: uint("evaluations")?,
-            best_fitness: uint("best_fitness")?,
-            best_genome: string("best_genome")?,
-            converged,
-        })
-    }
-}
-
-/// One multi-objective campaign's summary line in a [`RunManifest`]: a
-/// seeded NSGA-II run (or a walk-table scoring pass) and the shape of the
-/// front it produced.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParetoRow {
-    /// Campaign identifier (e.g. `"nsga2_walk"`, `"max_set_walk_table"`).
-    pub campaign: String,
-    /// The RNG seed the campaign consumed.
-    pub seed: u64,
-    /// Population size (or sample size for scoring passes).
-    pub population: u64,
-    /// Generations executed (0 for scoring passes).
-    pub generations: u64,
-    /// Objective-vector evaluations performed.
-    pub evaluations: u64,
-    /// Members of the final Pareto front.
-    pub front_size: u64,
-    /// Objective names, in vector order.
-    pub objectives: Vec<String>,
-    /// Best value reached per objective (maximized), index-aligned with
-    /// `objectives`.
-    pub best: Vec<f64>,
-}
-
-impl ParetoRow {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("campaign".to_string(), Json::Str(self.campaign.clone())),
-            ("seed".to_string(), Json::Num(self.seed as f64)),
-            ("population".to_string(), Json::Num(self.population as f64)),
-            (
-                "generations".to_string(),
-                Json::Num(self.generations as f64),
-            ),
-            (
-                "evaluations".to_string(),
-                Json::Num(self.evaluations as f64),
-            ),
-            ("front_size".to_string(), Json::Num(self.front_size as f64)),
-            (
-                "objectives".to_string(),
-                Json::Arr(
-                    self.objectives
-                        .iter()
-                        .map(|o| Json::Str(o.clone()))
-                        .collect(),
-                ),
-            ),
-            (
-                "best".to_string(),
-                Json::Arr(self.best.iter().map(|&b| Json::Num(b)).collect()),
-            ),
-        ])
-    }
-
-    fn from_json(v: &Json, idx: usize) -> Result<ParetoRow, ManifestError> {
-        let ctx = |name: &str| format!("pareto[{idx}].{name}");
-        let field = |name: &str| v.get(name).ok_or_else(|| ManifestError::Missing(ctx(name)));
-        let uint = |name: &str| {
-            field(name)?
-                .as_u64()
-                .ok_or_else(|| ManifestError::BadField(ctx(name)))
-        };
-        let objectives = field("objectives")?
-            .as_array()
-            .ok_or_else(|| ManifestError::BadField(ctx("objectives")))?
-            .iter()
-            .map(|o| {
-                o.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| ManifestError::BadField(ctx("objectives")))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let best = field("best")?
-            .as_array()
-            .ok_or_else(|| ManifestError::BadField(ctx("best")))?
-            .iter()
-            .map(|b| {
-                b.as_f64()
-                    .ok_or_else(|| ManifestError::BadField(ctx("best")))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ParetoRow {
-            campaign: field("campaign")?
-                .as_str()
-                .ok_or_else(|| ManifestError::BadField(ctx("campaign")))?
-                .to_string(),
-            seed: uint("seed")?,
-            population: uint("population")?,
-            generations: uint("generations")?,
-            evaluations: uint("evaluations")?,
-            front_size: uint("front_size")?,
-            objectives,
-            best,
-        })
-    }
-}
-
-/// One server load-run summary line in a [`RunManifest`]: how one route
-/// fared under one client concurrency.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServerRow {
-    /// Route identifier as `"METHOD /path"` (e.g. `"POST /evolve"`), or
-    /// `"ALL"` for a mixed-route aggregate.
-    pub route: String,
-    /// Concurrent clients driving the server during the measurement.
-    pub clients: u64,
-    /// Requests issued.
-    pub requests: u64,
-    /// Responses with a 2xx status.
-    pub ok: u64,
-    /// Responses with a non-2xx status (or transport failures).
-    pub errors: u64,
-    /// Median request latency in microseconds.
-    pub p50_micros: f64,
-    /// 99th-percentile request latency in microseconds.
-    pub p99_micros: f64,
-    /// Mean request latency in microseconds.
-    pub mean_micros: f64,
-    /// Completed requests per second over the measurement window.
-    pub rps: f64,
-}
-
-impl ServerRow {
-    /// The row as the JSON object a manifest stores.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("route".to_string(), Json::Str(self.route.clone())),
-            ("clients".to_string(), Json::Num(self.clients as f64)),
-            ("requests".to_string(), Json::Num(self.requests as f64)),
-            ("ok".to_string(), Json::Num(self.ok as f64)),
-            ("errors".to_string(), Json::Num(self.errors as f64)),
-            ("p50_micros".to_string(), Json::Num(self.p50_micros)),
-            ("p99_micros".to_string(), Json::Num(self.p99_micros)),
-            ("mean_micros".to_string(), Json::Num(self.mean_micros)),
-            ("rps".to_string(), Json::Num(self.rps)),
-        ])
-    }
-
-    fn from_json(v: &Json, idx: usize) -> Result<ServerRow, ManifestError> {
-        let ctx = |name: &str| format!("server[{idx}].{name}");
-        let field = |name: &str| v.get(name).ok_or_else(|| ManifestError::Missing(ctx(name)));
-        let uint = |name: &str| {
-            field(name)?
-                .as_u64()
-                .ok_or_else(|| ManifestError::BadField(ctx(name)))
-        };
-        let num = |name: &str| {
-            field(name)?
-                .as_f64()
-                .ok_or_else(|| ManifestError::BadField(ctx(name)))
-        };
-        Ok(ServerRow {
-            route: field("route")?
-                .as_str()
-                .ok_or_else(|| ManifestError::BadField(ctx("route")))?
-                .to_string(),
-            clients: uint("clients")?,
-            requests: uint("requests")?,
-            ok: uint("ok")?,
-            errors: uint("errors")?,
-            p50_micros: num("p50_micros")?,
-            p99_micros: num("p99_micros")?,
-            mean_micros: num("mean_micros")?,
-            rps: num("rps")?,
-        })
-    }
-}
-
-/// One exhaustive-sweep summary line in a [`RunManifest`]: what slice of
-/// the genome space was swept under which partitioning, and what the
-/// landscape looked like.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LandscapeRow {
-    /// Width of the swept subspace in genome bits (36 = the full space).
-    pub subspace_bits: u64,
-    /// Shards the space was partitioned into.
-    pub shards: u64,
-    /// Worker threads used.
-    pub threads: u64,
-    /// Genomes actually swept (`2^subspace_bits` for a complete run).
-    pub genomes_swept: u64,
-    /// The spec's maximum fitness level.
-    pub max_fitness: u64,
-    /// Exact cardinality of the maximum-fitness set.
-    pub max_count: u64,
-    /// Exact genome count per fitness level, index = fitness value
-    /// (length `max_fitness + 1`).
-    pub histogram: Vec<u64>,
-}
-
-impl LandscapeRow {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            (
-                "subspace_bits".to_string(),
-                Json::Num(self.subspace_bits as f64),
-            ),
-            ("shards".to_string(), Json::Num(self.shards as f64)),
-            ("threads".to_string(), Json::Num(self.threads as f64)),
-            (
-                "genomes_swept".to_string(),
-                Json::Num(self.genomes_swept as f64),
-            ),
-            (
-                "max_fitness".to_string(),
-                Json::Num(self.max_fitness as f64),
-            ),
-            ("max_count".to_string(), Json::Num(self.max_count as f64)),
-            (
-                "histogram".to_string(),
-                Json::Arr(
-                    self.histogram
-                        .iter()
-                        .map(|&c| Json::Num(c as f64))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    fn from_json(v: &Json, idx: usize) -> Result<LandscapeRow, ManifestError> {
-        let ctx = |name: &str| format!("landscape[{idx}].{name}");
-        let field = |name: &str| v.get(name).ok_or_else(|| ManifestError::Missing(ctx(name)));
-        let uint = |name: &str| {
-            field(name)?
-                .as_u64()
-                .ok_or_else(|| ManifestError::BadField(ctx(name)))
-        };
-        let histogram = field("histogram")?
-            .as_array()
-            .ok_or_else(|| ManifestError::BadField(ctx("histogram")))?
-            .iter()
-            .map(|c| {
-                c.as_u64()
-                    .ok_or_else(|| ManifestError::BadField(ctx("histogram")))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(LandscapeRow {
-            subspace_bits: uint("subspace_bits")?,
-            shards: uint("shards")?,
-            threads: uint("threads")?,
-            genomes_swept: uint("genomes_swept")?,
-            max_fitness: uint("max_fitness")?,
-            max_count: uint("max_count")?,
-            histogram,
-        })
-    }
-}
-
-/// One fault campaign's summary line in a [`RunManifest`]: which model
-/// was injected at what rate on which engine, and how the lanes fared.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CampaignRow {
-    /// Fault-model identifier (e.g. `"population_flip"`).
-    pub model: String,
-    /// Engine identifier (`"rtl_scalar"` / `"rtl_x64"`).
-    pub engine: String,
-    /// Faults per generation per lane.
-    pub rate: f64,
-    /// Lanes (trials) the campaign ran.
-    pub lanes: u64,
-    /// Lanes that reconverged with a genuinely maximal best genome.
-    pub recovered: u64,
-    /// Lanes whose best register was flagged as silently corrupted.
-    pub corrupted: u64,
-    /// Lanes that never reconverged within the generation budget.
-    pub permanent_failures: u64,
-    /// Mean convergence-cost delta (faulted − fault-free generations)
-    /// over recovered lanes, when any lane qualified.
-    pub mean_cost_delta: Option<f64>,
-}
-
-impl CampaignRow {
-    fn to_json(&self) -> Json {
-        let mut obj = vec![
-            ("model".to_string(), Json::Str(self.model.clone())),
-            ("engine".to_string(), Json::Str(self.engine.clone())),
-            ("rate".to_string(), Json::Num(self.rate)),
-            ("lanes".to_string(), Json::Num(self.lanes as f64)),
-            ("recovered".to_string(), Json::Num(self.recovered as f64)),
-            ("corrupted".to_string(), Json::Num(self.corrupted as f64)),
-            (
-                "permanent_failures".to_string(),
-                Json::Num(self.permanent_failures as f64),
-            ),
-        ];
-        if let Some(delta) = self.mean_cost_delta {
-            obj.push(("mean_cost_delta".to_string(), Json::Num(delta)));
-        }
-        Json::Obj(obj)
-    }
-
-    fn from_json(v: &Json, idx: usize) -> Result<CampaignRow, ManifestError> {
-        let ctx = |name: &str| format!("campaigns[{idx}].{name}");
-        let field = |name: &str| v.get(name).ok_or_else(|| ManifestError::Missing(ctx(name)));
-        let string = |name: &str| {
-            Ok::<String, ManifestError>(
-                field(name)?
-                    .as_str()
-                    .ok_or_else(|| ManifestError::BadField(ctx(name)))?
-                    .to_string(),
-            )
-        };
-        let uint = |name: &str| {
-            field(name)?
-                .as_u64()
-                .ok_or_else(|| ManifestError::BadField(ctx(name)))
-        };
-        let mean_cost_delta = match v.get("mean_cost_delta") {
-            None => None,
-            Some(d) => Some(
-                d.as_f64()
-                    .ok_or_else(|| ManifestError::BadField(ctx("mean_cost_delta")))?,
-            ),
-        };
-        Ok(CampaignRow {
-            model: string("model")?,
-            engine: string("engine")?,
-            rate: field("rate")?
-                .as_f64()
-                .ok_or_else(|| ManifestError::BadField(ctx("rate")))?,
-            lanes: uint("lanes")?,
-            recovered: uint("recovered")?,
-            corrupted: uint("corrupted")?,
-            permanent_failures: uint("permanent_failures")?,
-            mean_cost_delta,
-        })
-    }
+    /// Rows per table, index-aligned with the schema list.
+    tables: Vec<Vec<Json>>,
 }
 
 impl RunManifest {
@@ -524,11 +259,7 @@ impl RunManifest {
             wall_seconds: 0.0,
             simulated_cycles: None,
             events_file: None,
-            campaigns: Vec::new(),
-            landscape: Vec::new(),
-            server: Vec::new(),
-            pareto: Vec::new(),
-            problems: Vec::new(),
+            tables: vec![Vec::new(); TABLES.len()],
         }
     }
 
@@ -543,114 +274,82 @@ impl RunManifest {
         self.params.iter().find(|(k, _)| k == name).map(|(_, v)| *v)
     }
 
+    /// Append `row` to `table` (`"campaigns"`, `"landscape"`, `"server"`,
+    /// `"pareto"` or `"problems"`).
+    ///
+    /// # Panics
+    /// If `table` is unknown, a required field is missing or a value has
+    /// the wrong kind, or the row has a field outside the table's schema
+    /// or out of its order (the order is the on-disk order).
+    pub fn add_row(&mut self, table: &str, row: Json) {
+        let t = table_index(table);
+        let fields = TABLES[t].1;
+        if let Err(e) = check_row(table, fields, &row, self.tables[t].len()) {
+            panic!("{e}");
+        }
+        let mut schema = fields.iter();
+        let in_order = matches!(&row, Json::Obj(members)
+            if members.iter().all(|(k, _)| schema.any(|f| f.0 == k)));
+        assert!(
+            in_order,
+            "`{table}` row fields out of schema or order: {row}"
+        );
+        self.tables[t].push(row);
+    }
+
+    /// The rows of `table`, in the order they were added (empty when
+    /// there are none).
+    ///
+    /// # Panics
+    /// If `table` is unknown.
+    pub fn rows(&self, table: &str) -> &[Json] {
+        &self.tables[table_index(table)]
+    }
+
     /// Render as a JSON tree.
     pub fn to_json(&self) -> Json {
+        let params = self.params.iter().map(|(k, v)| (k.as_str(), Json::Num(*v)));
         let mut obj = vec![
+            ("schema_version", Json::Num(self.schema_version as f64)),
+            ("experiment", Json::Str(self.experiment.clone())),
+            ("git_revision", Json::Str(self.git_revision.clone())),
+            ("created_unix", Json::Num(self.created_unix as f64)),
+            ("params", Json::obj(params)),
             (
-                "schema_version".to_string(),
-                Json::Num(self.schema_version as f64),
-            ),
-            ("experiment".to_string(), Json::Str(self.experiment.clone())),
-            (
-                "git_revision".to_string(),
-                Json::Str(self.git_revision.clone()),
-            ),
-            (
-                "created_unix".to_string(),
-                Json::Num(self.created_unix as f64),
-            ),
-            (
-                "params".to_string(),
-                Json::Obj(
-                    self.params
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::Num(*v)))
-                        .collect(),
-                ),
-            ),
-            (
-                "seeds".to_string(),
+                "seeds",
                 Json::Arr(self.seeds.iter().map(|s| Json::Num(*s as f64)).collect()),
             ),
-            ("threads".to_string(), Json::Num(self.threads as f64)),
-            ("host_cores".to_string(), Json::Num(self.host_cores as f64)),
-            (
-                "plane_width".to_string(),
-                Json::Num(self.plane_width as f64),
-            ),
-            ("wall_seconds".to_string(), Json::Num(self.wall_seconds)),
+            ("threads", Json::Num(self.threads as f64)),
+            ("host_cores", Json::Num(self.host_cores as f64)),
+            ("plane_width", Json::Num(self.plane_width as f64)),
+            ("wall_seconds", Json::Num(self.wall_seconds)),
         ];
         if let Some(cycles) = self.simulated_cycles {
-            obj.push(("simulated_cycles".to_string(), Json::Num(cycles as f64)));
+            obj.push(("simulated_cycles", Json::Num(cycles as f64)));
         }
         if let Some(file) = &self.events_file {
-            obj.push(("events_file".to_string(), Json::Str(file.clone())));
+            obj.push(("events_file", Json::Str(file.clone())));
         }
-        if !self.campaigns.is_empty() {
-            obj.push((
-                "campaigns".to_string(),
-                Json::Arr(self.campaigns.iter().map(CampaignRow::to_json).collect()),
-            ));
+        for ((name, _), rows) in TABLES.iter().zip(&self.tables) {
+            if !rows.is_empty() {
+                obj.push((name, Json::Arr(rows.clone())));
+            }
         }
-        if !self.landscape.is_empty() {
-            obj.push((
-                "landscape".to_string(),
-                Json::Arr(self.landscape.iter().map(LandscapeRow::to_json).collect()),
-            ));
-        }
-        if !self.server.is_empty() {
-            obj.push((
-                "server".to_string(),
-                Json::Arr(self.server.iter().map(ServerRow::to_json).collect()),
-            ));
-        }
-        if !self.pareto.is_empty() {
-            obj.push((
-                "pareto".to_string(),
-                Json::Arr(self.pareto.iter().map(ParetoRow::to_json).collect()),
-            ));
-        }
-        if !self.problems.is_empty() {
-            obj.push((
-                "problems".to_string(),
-                Json::Arr(self.problems.iter().map(ProblemRow::to_json).collect()),
-            ));
-        }
-        Json::Obj(obj)
+        Json::obj(obj)
     }
 
     /// Parse a manifest back from JSON text (the inverse of
     /// [`RunManifest::to_json`] + `to_string`).
     pub fn from_json_str(text: &str) -> Result<RunManifest, ManifestError> {
         let root = Json::parse(text)?;
-        let field = |name: &str| {
-            root.get(name)
-                .ok_or_else(|| ManifestError::Missing(name.to_string()))
-        };
-        let num = |name: &str| {
-            field(name)?
-                .as_f64()
-                .ok_or_else(|| ManifestError::BadField(name.to_string()))
-        };
-        let uint = |name: &str| {
-            field(name)?
-                .as_u64()
-                .ok_or_else(|| ManifestError::BadField(name.to_string()))
-        };
-        let string = |name: &str| {
-            Ok::<String, ManifestError>(
-                field(name)?
-                    .as_str()
-                    .ok_or_else(|| ManifestError::BadField(name.to_string()))?
-                    .to_string(),
-            )
-        };
+        let string = |name: &str| required(&root, name, |v| v.as_str().map(str::to_string));
+        let uint = |name: &str| required(&root, name, Json::as_u64);
         let schema_version = uint("schema_version")?;
         if schema_version > MANIFEST_SCHEMA_VERSION {
             return Err(ManifestError::Version(schema_version));
         }
-        let params = match field("params")? {
-            Json::Obj(entries) => entries
+        let params = match root.get("params") {
+            Some(Json::Obj(entries)) => entries
                 .iter()
                 .map(|(k, v)| {
                     v.as_f64()
@@ -658,96 +357,30 @@ impl RunManifest {
                         .ok_or_else(|| ManifestError::BadField(format!("params.{k}")))
                 })
                 .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err(ManifestError::BadField("params".to_string())),
+            Some(_) => return Err(ManifestError::BadField("params".to_string())),
+            None => return Err(ManifestError::Missing("params".to_string())),
         };
-        let seeds = field("seeds")?
-            .as_array()
-            .ok_or_else(|| ManifestError::BadField("seeds".to_string()))?
-            .iter()
-            .map(|v| {
-                v.as_u64()
-                    .ok_or_else(|| ManifestError::BadField("seeds".to_string()))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+        let seeds = required(&root, "seeds", |v| {
+            v.as_array()?
+                .iter()
+                .map(Json::as_u64)
+                .collect::<Option<Vec<_>>>()
+        })?;
         // v4 execution-shape fields; older manifests get the values every
         // pre-v4 run actually had (one plane word = 64 lanes, cores unknown)
-        let host_cores = match root.get("host_cores") {
-            None => 1,
-            Some(v) => v
-                .as_u64()
-                .ok_or_else(|| ManifestError::BadField("host_cores".to_string()))?,
-        };
-        let plane_width = match root.get("plane_width") {
-            None => 64,
-            Some(v) => v
-                .as_u64()
-                .ok_or_else(|| ManifestError::BadField("plane_width".to_string()))?,
-        };
-        let simulated_cycles = match root.get("simulated_cycles") {
-            None => None,
-            Some(v) => Some(
-                v.as_u64()
-                    .ok_or_else(|| ManifestError::BadField("simulated_cycles".to_string()))?,
-            ),
-        };
-        let events_file = match root.get("events_file") {
-            None => None,
-            Some(v) => Some(
-                v.as_str()
-                    .ok_or_else(|| ManifestError::BadField("events_file".to_string()))?
-                    .to_string(),
-            ),
-        };
-        let campaigns = match root.get("campaigns") {
-            None => Vec::new(),
-            Some(v) => v
-                .as_array()
-                .ok_or_else(|| ManifestError::BadField("campaigns".to_string()))?
-                .iter()
-                .enumerate()
-                .map(|(i, row)| CampaignRow::from_json(row, i))
-                .collect::<Result<Vec<_>, _>>()?,
-        };
-        let landscape = match root.get("landscape") {
-            None => Vec::new(),
-            Some(v) => v
-                .as_array()
-                .ok_or_else(|| ManifestError::BadField("landscape".to_string()))?
-                .iter()
-                .enumerate()
-                .map(|(i, row)| LandscapeRow::from_json(row, i))
-                .collect::<Result<Vec<_>, _>>()?,
-        };
-        let server = match root.get("server") {
-            None => Vec::new(),
-            Some(v) => v
-                .as_array()
-                .ok_or_else(|| ManifestError::BadField("server".to_string()))?
-                .iter()
-                .enumerate()
-                .map(|(i, row)| ServerRow::from_json(row, i))
-                .collect::<Result<Vec<_>, _>>()?,
-        };
-        let pareto = match root.get("pareto") {
-            None => Vec::new(),
-            Some(v) => v
-                .as_array()
-                .ok_or_else(|| ManifestError::BadField("pareto".to_string()))?
-                .iter()
-                .enumerate()
-                .map(|(i, row)| ParetoRow::from_json(row, i))
-                .collect::<Result<Vec<_>, _>>()?,
-        };
-        let problems = match root.get("problems") {
-            None => Vec::new(),
-            Some(v) => v
-                .as_array()
-                .ok_or_else(|| ManifestError::BadField("problems".to_string()))?
-                .iter()
-                .enumerate()
-                .map(|(i, row)| ProblemRow::from_json(row, i))
-                .collect::<Result<Vec<_>, _>>()?,
-        };
+        let host_cores = optional(&root, "host_cores", Json::as_u64)?.unwrap_or(1);
+        let plane_width = optional(&root, "plane_width", Json::as_u64)?.unwrap_or(64);
+        let simulated_cycles = optional(&root, "simulated_cycles", Json::as_u64)?;
+        let events_file = optional(&root, "events_file", |v| v.as_str().map(str::to_string))?;
+        let mut tables = Vec::with_capacity(TABLES.len());
+        for &(name, fields) in TABLES {
+            let rows =
+                optional(&root, name, |v| v.as_array().map(<[Json]>::to_vec))?.unwrap_or_default();
+            for (i, row) in rows.iter().enumerate() {
+                check_row(name, fields, row, i)?;
+            }
+            tables.push(rows);
+        }
         Ok(RunManifest {
             schema_version,
             experiment: string("experiment")?,
@@ -758,14 +391,10 @@ impl RunManifest {
             threads: uint("threads")?,
             host_cores,
             plane_width,
-            wall_seconds: num("wall_seconds")?,
+            wall_seconds: required(&root, "wall_seconds", Json::as_f64)?,
             simulated_cycles,
             events_file,
-            campaigns,
-            landscape,
-            server,
-            pareto,
-            problems,
+            tables,
         })
     }
 
@@ -873,6 +502,37 @@ mod tests {
         m
     }
 
+    fn text(s: &str) -> Json {
+        Json::Str(s.to_string())
+    }
+
+    fn nums(values: &[f64]) -> Json {
+        Json::Arr(values.iter().map(|&v| Json::Num(v)).collect())
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn problem_row(
+        problem: &str,
+        width: f64,
+        seed: f64,
+        generations: f64,
+        evaluations: f64,
+        best_fitness: f64,
+        best_genome: &str,
+        converged: bool,
+    ) -> Json {
+        Json::obj([
+            ("problem", text(problem)),
+            ("width", Json::Num(width)),
+            ("seed", Json::Num(seed)),
+            ("generations", Json::Num(generations)),
+            ("evaluations", Json::Num(evaluations)),
+            ("best_fitness", Json::Num(best_fitness)),
+            ("best_genome", text(best_genome)),
+            ("converged", Json::Bool(converged)),
+        ])
+    }
+
     #[test]
     fn round_trips_through_json_text() {
         let m = sample();
@@ -889,30 +549,42 @@ mod tests {
         let back = RunManifest::from_json_str(&m.to_json().to_string()).unwrap();
         assert_eq!(back.simulated_cycles, None);
         assert_eq!(back.events_file, None);
-        assert!(back.campaigns.is_empty(), "absent campaigns parse as none");
-        assert!(back.landscape.is_empty(), "absent landscape parses as none");
-        assert!(back.server.is_empty(), "absent server rows parse as none");
+        assert!(
+            back.rows("campaigns").is_empty(),
+            "absent campaigns parse as none"
+        );
+        assert!(
+            back.rows("landscape").is_empty(),
+            "absent landscape parses as none"
+        );
+        assert!(
+            back.rows("server").is_empty(),
+            "absent server rows parse as none"
+        );
     }
 
     #[test]
     fn server_rows_round_trip() {
         let mut m = sample();
-        m.server = vec![ServerRow {
-            route: "POST /evolve".to_string(),
-            clients: 4,
-            requests: 64,
-            ok: 64,
-            errors: 0,
-            p50_micros: 812.5,
-            p99_micros: 2190.0,
-            mean_micros: 901.25,
-            rps: 1034.7,
-        }];
+        m.add_row(
+            "server",
+            Json::obj([
+                ("route", text("POST /evolve")),
+                ("clients", Json::Num(4.0)),
+                ("requests", Json::Num(64.0)),
+                ("ok", Json::Num(64.0)),
+                ("errors", Json::Num(0.0)),
+                ("p50_micros", Json::Num(812.5)),
+                ("p99_micros", Json::Num(2190.0)),
+                ("mean_micros", Json::Num(901.25)),
+                ("rps", Json::Num(1034.7)),
+            ]),
+        );
         let text = m.to_json().to_string();
         assert!(text.contains("\"server\""));
         let back = RunManifest::from_json_str(&text).expect("parse back");
         assert_eq!(back, m);
-        assert_eq!(back.server[0].clients, 4);
+        assert_eq!(back.rows("server")[0].get("clients"), Some(&Json::Num(4.0)));
     }
 
     #[test]
@@ -922,7 +594,7 @@ mod tests {
             "plane_width":512,"wall_seconds":0.25}"#;
         let back = RunManifest::from_json_str(v4).expect("v4 manifests stay readable");
         assert_eq!(back.schema_version, 4);
-        assert!(back.server.is_empty());
+        assert!(back.rows("server").is_empty());
         let bad = r#"{"schema_version":5,"experiment":"x","git_revision":"g",
             "created_unix":0,"params":{},"seeds":[],"threads":1,"wall_seconds":0,
             "server":[{"route":"GET /healthz"}]}"#;
@@ -935,21 +607,34 @@ mod tests {
     #[test]
     fn landscape_rows_round_trip() {
         let mut m = sample();
-        m.landscape = vec![LandscapeRow {
-            subspace_bits: 36,
-            shards: 256,
-            threads: 8,
-            genomes_swept: 68_719_476_736,
-            max_fitness: 26,
-            max_count: 86_436,
-            histogram: (0..27).map(|v| v * 1000).collect(),
-        }];
+        let histogram: Vec<f64> = (0..27).map(|v| f64::from(v * 1000)).collect();
+        m.add_row(
+            "landscape",
+            Json::obj([
+                ("subspace_bits", Json::Num(36.0)),
+                ("shards", Json::Num(256.0)),
+                ("threads", Json::Num(8.0)),
+                ("genomes_swept", Json::Num(68_719_476_736.0)),
+                ("max_fitness", Json::Num(26.0)),
+                ("max_count", Json::Num(86_436.0)),
+                ("histogram", nums(&histogram)),
+            ]),
+        );
         let text = m.to_json().to_string();
         assert!(text.contains("\"landscape\""));
         let back = RunManifest::from_json_str(&text).expect("parse back");
         assert_eq!(back, m);
-        assert_eq!(back.landscape[0].genomes_swept, 68_719_476_736);
-        assert_eq!(back.landscape[0].histogram.len(), 27);
+        let row = &back.rows("landscape")[0];
+        assert_eq!(
+            row.get("genomes_swept").and_then(Json::as_u64),
+            Some(68_719_476_736)
+        );
+        assert_eq!(
+            row.get("histogram")
+                .and_then(Json::as_array)
+                .map(<[Json]>::len),
+            Some(27)
+        );
     }
 
     #[test]
@@ -960,8 +645,8 @@ mod tests {
             "lanes":64,"recovered":63,"corrupted":0,"permanent_failures":1}]}"#;
         let back = RunManifest::from_json_str(v2).expect("v2 manifests stay readable");
         assert_eq!(back.schema_version, 2);
-        assert_eq!(back.campaigns.len(), 1);
-        assert!(back.landscape.is_empty());
+        assert_eq!(back.rows("campaigns").len(), 1);
+        assert!(back.rows("landscape").is_empty());
         let bad = r#"{"schema_version":3,"experiment":"x","git_revision":"g",
             "created_unix":0,"params":{},"seeds":[],"threads":1,"wall_seconds":0,
             "landscape":[{"subspace_bits":24}]}"#;
@@ -1000,25 +685,37 @@ mod tests {
     #[test]
     fn pareto_rows_round_trip() {
         let mut m = sample();
-        m.pareto = vec![ParetoRow {
-            campaign: "nsga2_walk".to_string(),
-            seed: 0x1000,
-            population: 32,
-            generations: 120,
-            evaluations: 3872,
-            front_size: 9,
-            objectives: vec![
-                "distance_mm".to_string(),
-                "min_margin_mm".to_string(),
-                "neg_energy_j".to_string(),
-            ],
-            best: vec![612.5, 14.25, -18.75],
-        }];
+        m.add_row(
+            "pareto",
+            Json::obj([
+                ("campaign", text("nsga2_walk")),
+                ("seed", Json::Num(f64::from(0x1000))),
+                ("population", Json::Num(32.0)),
+                ("generations", Json::Num(120.0)),
+                ("evaluations", Json::Num(3872.0)),
+                ("front_size", Json::Num(9.0)),
+                (
+                    "objectives",
+                    Json::Arr(vec![
+                        text("distance_mm"),
+                        text("min_margin_mm"),
+                        text("neg_energy_j"),
+                    ]),
+                ),
+                ("best", nums(&[612.5, 14.25, -18.75])),
+            ]),
+        );
         let text = m.to_json().to_string();
         assert!(text.contains("\"pareto\""));
         let back = RunManifest::from_json_str(&text).expect("parse back");
         assert_eq!(back, m);
-        assert_eq!(back.pareto[0].objectives.len(), back.pareto[0].best.len());
+        let len = |k: &str| {
+            back.rows("pareto")[0]
+                .get(k)
+                .and_then(Json::as_array)
+                .map(<[Json]>::len)
+        };
+        assert_eq!(len("objectives"), len("best"));
     }
 
     #[test]
@@ -1030,8 +727,8 @@ mod tests {
             "p50_micros":1,"p99_micros":2,"mean_micros":1.5,"rps":100}]}"#;
         let back = RunManifest::from_json_str(v5).expect("v5 manifests stay readable");
         assert_eq!(back.schema_version, 5);
-        assert!(back.pareto.is_empty());
-        assert_eq!(back.server.len(), 1);
+        assert!(back.rows("pareto").is_empty());
+        assert_eq!(back.rows("server").len(), 1);
         let bad = r#"{"schema_version":6,"experiment":"x","git_revision":"g",
             "created_unix":0,"params":{},"seeds":[],"threads":1,"wall_seconds":0,
             "pareto":[{"campaign":"nsga2_walk","objectives":[],"best":[]}]}"#;
@@ -1044,34 +741,43 @@ mod tests {
     #[test]
     fn problem_rows_round_trip() {
         let mut m = sample();
-        m.problems = vec![
-            ProblemRow {
-                problem: "fsm_traces".to_string(),
-                width: 24,
-                seed: 0x1000,
-                generations: 13,
-                evaluations: 448,
-                best_fitness: 64,
-                best_genome: "0x00c0de".to_string(),
-                converged: true,
-            },
-            ProblemRow {
-                problem: "serial_adder".to_string(),
-                width: 16,
-                seed: 0x1007,
-                generations: 4000,
-                evaluations: 128_032,
-                best_fitness: 47,
-                best_genome: "0xbeef".to_string(),
-                converged: false,
-            },
-        ];
+        m.add_row(
+            "problems",
+            problem_row(
+                "fsm_traces",
+                24.0,
+                4096.0,
+                13.0,
+                448.0,
+                64.0,
+                "0x00c0de",
+                true,
+            ),
+        );
+        m.add_row(
+            "problems",
+            problem_row(
+                "serial_adder",
+                16.0,
+                4103.0,
+                4000.0,
+                128_032.0,
+                47.0,
+                "0xbeef",
+                false,
+            ),
+        );
         let text = m.to_json().to_string();
         assert!(text.contains("\"problems\""));
         let back = RunManifest::from_json_str(&text).expect("parse back");
         assert_eq!(back, m);
-        assert!(back.problems[0].converged);
-        assert!(!back.problems[1].converged);
+        let converged = |i: usize| {
+            back.rows("problems")[i]
+                .get("converged")
+                .and_then(Json::as_bool)
+        };
+        assert_eq!(converged(0), Some(true));
+        assert_eq!(converged(1), Some(false));
     }
 
     #[test]
@@ -1084,8 +790,8 @@ mod tests {
             "objectives":["distance_mm"],"best":[612.5]}]}"#;
         let back = RunManifest::from_json_str(v6).expect("v6 manifests stay readable");
         assert_eq!(back.schema_version, 6);
-        assert!(back.problems.is_empty());
-        assert_eq!(back.pareto.len(), 1);
+        assert!(back.rows("problems").is_empty());
+        assert_eq!(back.rows("pareto").len(), 1);
         let bad = r#"{"schema_version":7,"experiment":"x","git_revision":"g",
             "created_unix":0,"params":{},"seeds":[],"threads":1,"wall_seconds":0,
             "problems":[{"problem":"gait","width":36,"converged":true}]}"#;
@@ -1106,33 +812,36 @@ mod tests {
     #[test]
     fn campaign_rows_round_trip() {
         let mut m = sample();
-        m.campaigns = vec![
-            CampaignRow {
-                model: "population_flip".to_string(),
-                engine: "rtl_x64".to_string(),
-                rate: 5.0,
-                lanes: 64,
-                recovered: 63,
-                corrupted: 0,
-                permanent_failures: 1,
-                mean_cost_delta: Some(812.5),
-            },
-            CampaignRow {
-                model: "genome_reg_flip".to_string(),
-                engine: "rtl_scalar".to_string(),
-                rate: 1.0,
-                lanes: 8,
-                recovered: 6,
-                corrupted: 2,
-                permanent_failures: 0,
-                mean_cost_delta: None,
-            },
-        ];
+        m.add_row(
+            "campaigns",
+            Json::obj([
+                ("model", text("population_flip")),
+                ("engine", text("rtl_x64")),
+                ("rate", Json::Num(5.0)),
+                ("lanes", Json::Num(64.0)),
+                ("recovered", Json::Num(63.0)),
+                ("corrupted", Json::Num(0.0)),
+                ("permanent_failures", Json::Num(1.0)),
+                ("mean_cost_delta", Json::Num(812.5)),
+            ]),
+        );
+        m.add_row(
+            "campaigns",
+            Json::obj([
+                ("model", text("genome_reg_flip")),
+                ("engine", text("rtl_scalar")),
+                ("rate", Json::Num(1.0)),
+                ("lanes", Json::Num(8.0)),
+                ("recovered", Json::Num(6.0)),
+                ("corrupted", Json::Num(2.0)),
+                ("permanent_failures", Json::Num(0.0)),
+            ]),
+        );
         let text = m.to_json().to_string();
         assert!(text.contains("\"campaigns\""));
         let back = RunManifest::from_json_str(&text).expect("parse back");
         assert_eq!(back, m);
-        assert_eq!(back.campaigns[1].mean_cost_delta, None);
+        assert_eq!(back.rows("campaigns")[1].get("mean_cost_delta"), None);
     }
 
     #[test]
@@ -1141,7 +850,7 @@ mod tests {
             "created_unix":0,"params":{},"seeds":[4096],"threads":1,"wall_seconds":0.5}"#;
         let back = RunManifest::from_json_str(v1).expect("v1 manifests stay readable");
         assert_eq!(back.schema_version, 1);
-        assert!(back.campaigns.is_empty());
+        assert!(back.rows("campaigns").is_empty());
         let bad = r#"{"schema_version":2,"experiment":"x","git_revision":"g",
             "created_unix":0,"params":{},"seeds":[],"threads":1,"wall_seconds":0,
             "campaigns":[{"model":"population_flip"}]}"#;
@@ -1149,6 +858,53 @@ mod tests {
             RunManifest::from_json_str(bad),
             Err(ManifestError::Missing(field)) if field == "campaigns[0].engine"
         ));
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown manifest table `laps`")]
+    fn add_row_rejects_an_unknown_table() {
+        sample().add_row("laps", Json::obj([("lap", Json::Num(1.0))]));
+    }
+
+    #[test]
+    #[should_panic(expected = "`server[0].clients` is missing")]
+    fn add_row_rejects_a_missing_field() {
+        sample().add_row("server", Json::obj([("route", text("ALL"))]));
+    }
+
+    #[test]
+    #[should_panic(expected = "`problems[1].converged` has the wrong type")]
+    fn add_row_rejects_a_mistyped_field() {
+        let mut m = sample();
+        m.add_row(
+            "problems",
+            problem_row("gait", 36.0, 1.0, 1.0, 1.0, 1.0, "0x0", true),
+        );
+        let mut row = problem_row("gait", 36.0, 1.0, 1.0, 1.0, 1.0, "0x0", true);
+        if let Json::Obj(members) = &mut row {
+            members[7].1 = text("yes");
+        }
+        m.add_row("problems", row);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of schema or order")]
+    fn add_row_rejects_fields_out_of_schema_order() {
+        let mut row = problem_row("gait", 36.0, 1.0, 1.0, 1.0, 1.0, "0x0", true);
+        if let Json::Obj(members) = &mut row {
+            members.swap(0, 1);
+        }
+        sample().add_row("problems", row);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of schema or order")]
+    fn add_row_rejects_fields_outside_the_schema() {
+        let mut row = problem_row("gait", 36.0, 1.0, 1.0, 1.0, 1.0, "0x0", true);
+        if let Json::Obj(members) = &mut row {
+            members.push(("fitness".to_string(), Json::Num(26.0)));
+        }
+        sample().add_row("problems", row);
     }
 
     #[test]

@@ -1,27 +1,42 @@
 //! The differential pin behind the `EvolvableProblem` refactor: the gait
 //! problem driven through the generic registry path is byte-identical to
-//! the legacy hard-coded path.
+//! a direct, hand-written path.
 //!
-//! The legacy path is `leonardo_bench::GaitRuleProblem` feeding `Ga`
-//! directly; the generic path is the registry's `"gait"` entry wrapped
-//! in the [`Evolvable`] adapter. A 1000-generation run under the
+//! The direct path is the paper's rule fitness (`FitnessSpec::paper`) as
+//! a plain `FnProblem` feeding `Ga`; the generic path is the registry's
+//! `"gait"` entry wrapped in the [`Evolvable`] adapter. A 1000-generation
+//! run under the
 //! hardware GAP configuration must agree on every byte of provenance:
 //! the per-generation history, the winner, the evaluation count — and
 //! the campaign driver on top must be unobservable to plane width and
 //! thread count, down to the manifest rows it emits.
 
+use discipulus::fitness::FitnessSpec;
+use discipulus::genome::{Genome, GENOME_BITS};
 use evo::evolvable::Evolvable;
 use evo::ga::{Ga, GaConfig};
-use leonardo_bench::{problem_campaigns, problem_row, GaitRuleProblem};
+use evo::genome::BitString;
+use evo::problem::{FnProblem, Problem};
+use leonardo_bench::{problem_campaigns, problem_row};
 use leonardo_problems::{GaitProblem, ProblemSpec};
 use leonardo_rtl::bitslice::W256;
-use leonardo_telemetry::{ProblemRow, RunManifest};
+use leonardo_telemetry::json::Json;
+use leonardo_telemetry::RunManifest;
+
+/// The legacy side of the pin: the paper's three-rule fitness scored
+/// straight off the spec, with the tripod-fitness optimum as the target.
+fn legacy_problem() -> impl Problem {
+    FnProblem::new(GENOME_BITS, |g: &BitString| {
+        f64::from(FitnessSpec::paper().evaluate(Genome::from_bits(g.to_u64())))
+    })
+    .with_max(26.0)
+}
 
 /// One full GAP-configured run per path, same seed, compared field by
 /// field. 1000 generations with no target so neither path stops early.
 fn run_both(seed: u64) -> (evo::ga::GaOutcome, evo::ga::GaOutcome) {
     let legacy =
-        Ga::new(GaConfig::default(), GaitRuleProblem::paper(), seed).run(1000, Some(f64::INFINITY));
+        Ga::new(GaConfig::default(), legacy_problem(), seed).run(1000, Some(f64::INFINITY));
     let generic = Ga::new(GaConfig::default(), Evolvable(GaitProblem::paper()), seed)
         .run(1000, Some(f64::INFINITY));
     (legacy, generic)
@@ -54,7 +69,7 @@ fn early_stopping_agrees_too() {
     // with the default target both paths stop at the tripod-fitness
     // optimum on the same generation
     let seed = 0x100E;
-    let legacy = Ga::new(GaConfig::default(), GaitRuleProblem::paper(), seed).run(20_000, None);
+    let legacy = Ga::new(GaConfig::default(), legacy_problem(), seed).run(20_000, None);
     let generic =
         Ga::new(GaConfig::default(), Evolvable(GaitProblem::paper()), seed).run(20_000, None);
     assert!(legacy.reached_target && generic.reached_target);
@@ -73,7 +88,7 @@ fn gait_campaigns_are_width_and_thread_unobservable() {
     assert_eq!(base, problem_campaigns::<W256>(spec, &seeds, 300, 2));
     // and the campaign trials agree with a direct legacy run seed by seed
     for (t, &seed) in base.iter().zip(&seeds) {
-        let legacy = Ga::new(GaConfig::default(), GaitRuleProblem::paper(), seed).run(300, None);
+        let legacy = Ga::new(GaConfig::default(), legacy_problem(), seed).run(300, None);
         assert_eq!(t.best_genome, legacy.best_genome.to_u64());
         assert_eq!(f64::from(t.best_fitness), legacy.best_fitness);
         assert_eq!(t.generations, legacy.generations);
@@ -86,7 +101,7 @@ fn gait_campaigns_are_width_and_thread_unobservable() {
 fn manifest_problem_rows_are_identical_across_configurations() {
     let spec = ProblemSpec::find("gait").expect("registered");
     let seeds = [0x1015u64];
-    let rows_of = |trials: &[leonardo_bench::ProblemTrial]| -> Vec<ProblemRow> {
+    let rows_of = |trials: &[leonardo_bench::ProblemTrial]| -> Vec<Json> {
         trials.iter().map(|t| problem_row(spec, t)).collect()
     };
     let narrow = rows_of(&problem_campaigns::<u64>(spec, &seeds, 200, 1));
@@ -95,9 +110,12 @@ fn manifest_problem_rows_are_identical_across_configurations() {
 
     // and the rows survive a manifest round-trip byte-for-byte
     let mut manifest = RunManifest::new("gait_as_problem_pin");
-    manifest.problems = narrow.clone();
+    for row in &narrow {
+        manifest.add_row("problems", row.clone());
+    }
     let back = RunManifest::from_json_str(&manifest.to_json().to_string()).expect("parse back");
-    assert_eq!(back.problems, narrow);
-    assert_eq!(back.problems[0].problem, "gait");
-    assert_eq!(back.problems[0].width, 36);
+    let rows = back.rows("problems");
+    assert_eq!(rows, narrow);
+    assert_eq!(rows[0].get("problem").and_then(Json::as_str), Some("gait"));
+    assert_eq!(rows[0].get("width").and_then(Json::as_u64), Some(36));
 }
